@@ -333,9 +333,9 @@ fn arena_clone_vs_reemit(c: &mut Criterion) {
 }
 
 /// MaxSAT search strategies on the weighted placement family: the linear
-/// SAT-UNSAT descent, the core-guided lower-bounding search, and the
-/// first-proof-wins race of both. All three prove the same optimum; the
-/// group records how their routes to the proof compare.
+/// SAT-UNSAT descent and the core-guided lower-bounding search. Both
+/// prove the same optimum; the group records how their routes to the
+/// proof compare.
 fn maxsat_strategies(c: &mut Criterion) {
     let mut group = c.benchmark_group("maxsat_strategies");
     group.sample_size(10);
@@ -343,7 +343,6 @@ fn maxsat_strategies(c: &mut Criterion) {
     for (label, strategy) in [
         ("linear", maxsat::Strategy::LinearSatUnsat),
         ("core-guided", maxsat::Strategy::CoreGuided),
-        ("race", maxsat::Strategy::Race),
     ] {
         group.bench_function(label, |b| {
             b.iter(|| {
@@ -430,12 +429,12 @@ fn portfolio_width_request(c: &mut Criterion) {
     group.finish();
 }
 
-/// Adaptive dispatch: the feature-sized `Auto` plan against a forced
-/// serial linear solve and a forced 4-wide race, on one small family
-/// (fig3, below the small-instance gate — the dispatcher degenerates to
-/// exactly the serial linear solve, so `auto` must track `serial`) and
-/// one hard family (above it — the dispatcher races heterogeneous
-/// workers, so `auto` must be no slower than the best forced config).
+/// Adaptive dispatch: the feature-sized `Auto` width against a forced
+/// serial linear solve and a forced 4-wide portfolio race (both `Auto`
+/// strategy, which resolves to linear search on these unweighted
+/// instances), on one small family (fig3, below the small-instance gate
+/// — the dispatcher picks width 1, so `auto` must track `serial`) and one
+/// larger family.
 fn dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("dispatch");
     group.sample_size(10);
@@ -449,9 +448,9 @@ fn dispatch(c: &mut Criterion) {
         ),
     ];
     let configs = [
-        ("auto", Parallelism::Auto, SearchStrategy::Race),
+        ("auto", Parallelism::Auto, SearchStrategy::Auto),
         ("serial", Parallelism::Serial, SearchStrategy::Linear),
-        ("width4", Parallelism::Width(4), SearchStrategy::Race),
+        ("width4", Parallelism::Width(4), SearchStrategy::Auto),
     ];
     for (family, circuit) in &families {
         for (label, parallelism, strategy) in configs {

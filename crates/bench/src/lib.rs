@@ -150,7 +150,7 @@ pub fn camouflaged_core_cnf(
 /// strategy must descend from a poor first incumbent while the core-guided
 /// strategy pays exactly `pigeons − holes` cores into its lower bound:
 /// the family behind the `maxsat_strategies` bench group and the
-/// strategy-race regressions.
+/// strategy regressions.
 pub fn placement_wcnf(pigeons: usize, holes: usize) -> maxsat::WcnfInstance {
     let mut inst = maxsat::WcnfInstance::new();
     let var = |p: usize, h: usize| sat::Var::new(p * holes + h).positive();

@@ -87,8 +87,6 @@ pub enum SearchStrategy {
     Linear,
     /// OLL-style core-guided lower-bounding search.
     CoreGuided,
-    /// Race both strategies; the first proof wins and cancels its peer.
-    Race,
 }
 
 /// How many diversified SAT workers a request may race per solver call.
@@ -116,27 +114,6 @@ impl Parallelism {
             Parallelism::Serial => 1,
             Parallelism::Width(w) => w.max(1),
             Parallelism::Auto => sat::auto_width(),
-        }
-    }
-
-    /// The worker count for a solver call on an instance of
-    /// `instance_size` variables + clauses. `Auto` degrades to width 1
-    /// below [`sat::DEFAULT_MIN_INSTANCE_SIZE`]: at fig3 scale a width-4
-    /// race measured ~1.4x *slower* than serial (thread spawn and clone
-    /// overhead dominate), so small instances solve inline. An explicit
-    /// [`Parallelism::Width`] always forces its width — the override tests
-    /// and benches use to race small instances anyway.
-    pub fn resolve_for_instance(&self, instance_size: usize) -> usize {
-        match *self {
-            Parallelism::Serial => 1,
-            Parallelism::Width(w) => w.max(1),
-            Parallelism::Auto => {
-                if instance_size < sat::DEFAULT_MIN_INSTANCE_SIZE {
-                    1
-                } else {
-                    sat::auto_width()
-                }
-            }
         }
     }
 
@@ -519,10 +496,11 @@ impl<'a> RouteRequest<'a> {
         }
         h.usize(self.spec.swaps_per_gap.map_or(0, |n| n + 1));
         h.u64(self.spec.totalizer_units.map_or(0, |u| u.wrapping_add(1)));
+        // Byte 2 belonged to a retired strategy; the others keep their
+        // values so existing fingerprints stay valid.
         h.byte(match self.spec.strategy {
             SearchStrategy::Linear => 0,
             SearchStrategy::CoreGuided => 1,
-            SearchStrategy::Race => 2,
             SearchStrategy::Auto => 3,
         });
         match self.spec.repetition {
@@ -857,11 +835,6 @@ impl RouteOutcome {
             None => out.push_str(",\"strategy\":null"),
         }
         out.push_str(&format!(",\"dispatch_width\":{}", t.dispatch_width));
-        match t.dispatch_mix {
-            Some(m) => out.push_str(&format!(",\"dispatch_mix\":\"{}\"", escape_json(m))),
-            None => out.push_str(",\"dispatch_mix\":null"),
-        }
-        out.push_str(&format!(",\"dispatch_sharing\":{}", t.dispatch_sharing));
         out.push_str(&format!(",\"dispatch_hardness\":{}", t.dispatch_hardness));
         out.push_str(&format!(",\"strata\":{}", t.strata));
         out.push_str(&format!(",\"exhaustion_steps\":{}", t.exhaustion_steps));
@@ -1053,8 +1026,6 @@ mod tests {
         assert!(json.contains("\"solved\":true"));
         assert!(json.contains("\"error\":null"));
         assert!(json.contains("\"dispatch_width\":0"));
-        assert!(json.contains("\"dispatch_mix\":null"));
-        assert!(json.contains("\"dispatch_sharing\":false"));
         assert!(json.contains("\"dispatch_hardness\":0"));
         assert!(json.contains("\"diagnostics\":{\"slice\":\"25\"}"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -1251,21 +1222,5 @@ mod tests {
                 .with_objective(Objective::Fidelity(arch::NoiseModel::synthetic(&g, 8)))
                 .fingerprint()
         );
-    }
-
-    #[test]
-    fn auto_parallelism_degrades_to_serial_on_small_instances() {
-        assert_eq!(Parallelism::Auto.resolve_for_instance(0), 1);
-        assert_eq!(
-            Parallelism::Auto.resolve_for_instance(sat::DEFAULT_MIN_INSTANCE_SIZE - 1),
-            1
-        );
-        assert_eq!(
-            Parallelism::Auto.resolve_for_instance(sat::DEFAULT_MIN_INSTANCE_SIZE),
-            Parallelism::Auto.resolve()
-        );
-        // An explicit width overrides the gate (the test escape hatch).
-        assert_eq!(Parallelism::Width(4).resolve_for_instance(0), 4);
-        assert_eq!(Parallelism::Serial.resolve_for_instance(usize::MAX), 1);
     }
 }

@@ -24,7 +24,6 @@ pub(crate) fn engine_strategy(
     match strategy {
         SearchStrategy::Linear => maxsat::Strategy::LinearSatUnsat,
         SearchStrategy::CoreGuided => maxsat::Strategy::CoreGuided,
-        SearchStrategy::Race => maxsat::Strategy::Race,
         SearchStrategy::Auto => {
             if maxsat::dispatch::prefers_core(features) {
                 maxsat::Strategy::CoreGuided
@@ -168,21 +167,18 @@ pub(crate) struct Resolved {
 }
 
 impl Resolved {
-    /// The engine options for one solver call: the shared knobs plus the
-    /// concrete worker plan the instance-feature dispatcher resolves the
-    /// parallelism hint and strategy to (see [`maxsat::dispatch`]).
+    /// The engine options for one solver call: the shared knobs, the
+    /// strategy `Auto` resolves to for these features, and the portfolio
+    /// width the instance-feature dispatcher resolves the parallelism hint
+    /// to (see [`maxsat::dispatch`]).
     ///
-    /// `Serial` and `Width(n)` pin the total worker count; `Auto` lets
-    /// the features decide. The plan rides along in the options so the
-    /// engine executes exactly what was dispatched (and stamps it into
-    /// the telemetry).
+    /// `Serial` and `Width(n)` pin the worker count; `Auto` lets the
+    /// features decide.
     pub fn options_for(&self, features: maxsat::InstanceFeatures) -> maxsat::SolveOptions {
-        let strategy = engine_strategy(self.strategy, &features);
-        let plan = maxsat::dispatch::plan(&features, strategy, width_hint(self.parallelism));
+        let plan = maxsat::dispatch::plan(&features, width_hint(self.parallelism));
         self.options
-            .with_strategy(strategy)
-            .with_portfolio_width(plan.total_width())
-            .with_dispatch(plan)
+            .with_strategy(engine_strategy(self.strategy, &features))
+            .with_portfolio_width(plan.width)
     }
 
     /// [`Resolved::options_for`] when only the instance size (variables +
@@ -242,7 +238,7 @@ mod tests {
             .with_swaps_per_gap(2)
             .with_totalizer_units(7)
             .with_parallelism(Parallelism::Width(3))
-            .with_strategy(circuit::SearchStrategy::Race);
+            .with_strategy(circuit::SearchStrategy::CoreGuided);
         let r = config.resolve(&req);
         assert_eq!(r.slice_size, None);
         assert_eq!(r.swaps_per_gap, 2);
@@ -250,7 +246,7 @@ mod tests {
         assert_eq!(r.options.totalizer_units, 7);
         // An explicit width forces itself regardless of instance size.
         assert_eq!(r.options_for_instance(10).portfolio_width, Some(3));
-        assert_eq!(r.options.strategy, maxsat::Strategy::Race);
+        assert_eq!(r.options.strategy, maxsat::Strategy::CoreGuided);
         assert_eq!(r.budget.remaining_time(), Some(Duration::from_secs(3)));
     }
 
@@ -264,10 +260,6 @@ mod tests {
         assert_eq!(
             engine_strategy(SearchStrategy::CoreGuided, &plain),
             maxsat::Strategy::CoreGuided
-        );
-        assert_eq!(
-            engine_strategy(SearchStrategy::Race, &plain),
-            maxsat::Strategy::Race
         );
         assert_eq!(SearchStrategy::default(), SearchStrategy::Auto);
     }

@@ -112,35 +112,24 @@ pub fn planned_width(
     circuit: &Circuit,
     graph: &ConnectivityGraph,
     parallelism: circuit::Parallelism,
-    strategy: circuit::SearchStrategy,
     swaps_per_gap: usize,
 ) -> usize {
     let features = maxsat::InstanceFeatures::default()
         .with_device(graph.num_qubits())
         .with_encoding_estimate(encoding_estimate(circuit, graph, swaps_per_gap));
-    maxsat::dispatch::plan(
-        &features,
-        crate::config::engine_strategy(strategy, &features),
-        crate::config::width_hint(parallelism),
-    )
-    .total_width()
+    maxsat::dispatch::plan(&features, crate::config::width_hint(parallelism)).width
 }
 
 /// The widest worker plan the dispatcher can resolve under `parallelism`
-/// and `strategy` — the per-request core occupancy a capacity planner
-/// must assume without seeing the instance (the dispatcher only ever
-/// *narrows* from here as instances get easier).
-pub fn plan_ceiling(parallelism: circuit::Parallelism, strategy: circuit::SearchStrategy) -> usize {
+/// — the per-request core occupancy a capacity planner must assume
+/// without seeing the instance (the dispatcher only ever *narrows* from
+/// here as instances get easier).
+pub fn plan_ceiling(parallelism: circuit::Parallelism) -> usize {
     let hardest = maxsat::InstanceFeatures {
         vars: maxsat::dispatch::MEDIUM_INSTANCE as usize,
         ..maxsat::InstanceFeatures::default()
     };
-    maxsat::dispatch::plan(
-        &hardest,
-        crate::config::engine_strategy(strategy, &hardest),
-        crate::config::width_hint(parallelism),
-    )
-    .total_width()
+    maxsat::dispatch::plan(&hardest, crate::config::width_hint(parallelism)).width
 }
 
 /// Ceiling on [`encoding_estimate`] above which a *budgeted* request is
@@ -541,6 +530,11 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
     /// deepening*: rebuild the stuck slice with more swap slots before its
     /// first gate, which can always absorb a bad entry map and therefore
     /// keeps the relaxation complete.
+    ///
+    /// Every slice solves on one worker, whatever the request's
+    /// parallelism: a slice's optimum is rarely unique, and its final map
+    /// pins the next slice, so the model a racing portfolio happened to
+    /// return first would steer the total cost by thread timing.
     #[allow(clippy::too_many_arguments)]
     fn route_sliced(
         &self,
@@ -552,6 +546,10 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
         telemetry: &mut SolverTelemetry,
         proof: &mut Proof,
     ) -> Result<RoutedCircuit, RouteError> {
+        let p = &Resolved {
+            parallelism: circuit::Parallelism::Serial,
+            ..p.clone()
+        };
         let slices = circuit.slices(slice_size);
         let n = p.swaps_per_gap;
 
@@ -815,7 +813,7 @@ mod tests {
         // Documents the claim behind `Parallelism::Auto` and the sharing
         // size gate: the monolithic fig3 encoding — on its own line graph
         // and on the larger Tokyo− device — is a small instance, so Auto
-        // resolves to width 1 and a default portfolio would not share.
+        // dispatches width 1 and a default portfolio would not share.
         let (c, g) = fig3();
         let router = SatMap::new(SatMapConfig::monolithic());
         for graph in [g, arch::devices::tokyo_minus()] {
@@ -830,7 +828,11 @@ mod tests {
                 size,
                 sat::DEFAULT_MIN_INSTANCE_SIZE
             );
-            assert_eq!(circuit::Parallelism::Auto.resolve_for_instance(size), 1);
+            let features = instance_features(artifact.encoding());
+            assert_eq!(
+                maxsat::dispatch::plan(&features, maxsat::WidthHint::Auto).width,
+                1
+            );
         }
     }
 

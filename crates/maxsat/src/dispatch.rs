@@ -2,36 +2,31 @@
 //!
 //! The bench data that motivated this module is unambiguous: the parallel
 //! machinery *loses* on easy instances (a width-4 portfolio is ~1.4x
-//! slower than serial on fig3, sharing trails no-sharing, and the strategy
-//! race trails plain linear search). Solver effort should be spent where
-//! the instance is hard — so instead of resolving `Parallelism::Auto` and
-//! `Strategy::Race` with fixed rules, the engine computes cheap
-//! [`InstanceFeatures`] and turns them into a concrete [`DispatchPlan`]:
-//! how many linear-search workers, how many core-guided workers, and
-//! whether they share clauses.
+//! slower than serial on fig3, and sharing trails no-sharing). Solver
+//! effort should be spent where the instance is hard — so instead of
+//! resolving `Parallelism::Auto` with a fixed rule, the engine computes
+//! cheap [`InstanceFeatures`] and turns them into a [`DispatchPlan`]: how
+//! many portfolio workers run the one selected search strategy.
 //!
 //! The tiers (measured in variables + hard clauses, or the O(1)
 //! `encoding_estimate` before an encoding exists):
 //!
 //! * **small** (below [`SMALL_INSTANCE`], the same gate as
-//!   [`sat::SharingConfig::min_instance_size`]) — one linear worker, no
-//!   sharing, no race: the per-call overhead of threads and exchanges
-//!   exceeds the whole solve time.
-//! * **medium** (below [`MEDIUM_INSTANCE`]) — at most two workers; a race
-//!   runs one linear against one core-guided worker with sharing and
-//!   bound exchange.
-//! * **hard** — the full [`sat::auto_width`] worker budget, split across
-//!   a heterogeneous linear + core-guided portfolio.
+//!   [`sat::SharingConfig::min_instance_size`]) — one worker, solved
+//!   inline: the per-call overhead of threads exceeds the whole solve
+//!   time.
+//! * **medium** (below [`MEDIUM_INSTANCE`]) — at most two workers.
+//! * **hard** — the full [`sat::auto_width`] worker budget.
 //!
 //! An explicit width ([`WidthHint::Forced`], from `Parallelism::Serial`
-//! or `Parallelism::Width`) is always honored — the dispatcher only
-//! decides the strategy mix and sharing for it.
+//! or `Parallelism::Width`) is always honored. Whether the workers share
+//! clauses is the portfolio's own decision
+//! ([`sat::SharingConfig::min_instance_size`]), not the plan's.
 
-use crate::strategy::Strategy;
 use crate::wcnf::WcnfInstance;
 
 /// Hardness (variables + hard clauses) below which a request is *small*:
-/// solved inline by one linear worker with sharing off. Deliberately the
+/// solved inline by one worker. Deliberately the
 /// same constant as the portfolio's sharing gate
 /// ([`sat::DEFAULT_MIN_INSTANCE_SIZE`]) so the two layers agree on what
 /// "too small to parallelize" means.
@@ -39,12 +34,6 @@ pub const SMALL_INSTANCE: u64 = sat::DEFAULT_MIN_INSTANCE_SIZE as u64;
 
 /// Hardness below which a request is *medium*: at most two workers.
 pub const MEDIUM_INSTANCE: u64 = 4 * SMALL_INSTANCE;
-
-/// Diversification seed of the core-guided worker group in a heterogeneous
-/// race (the linear group keeps seed 0, the historical base
-/// configuration). A stable constant so fault-injection tests can target
-/// exactly the core-guided group via [`sat::FaultPlan`]'s `panic_tag`.
-pub const CORE_ROLE_SEED: u64 = 0xC0DE_5EED_0000_0001;
 
 /// Cheap, O(instance-header) features the dispatcher sizes a plan from.
 ///
@@ -138,50 +127,16 @@ pub enum WidthHint {
     Forced(usize),
 }
 
-/// A concrete worker plan: how many workers run each strategy, and
-/// whether they cooperate through clause sharing. Produced by [`plan`]
-/// and carried into the engine via
-/// [`crate::SolveOptions::with_dispatch`].
+/// A concrete worker plan: how many portfolio workers run the selected
+/// search strategy. Produced by [`plan`]; callers apply the width with
+/// [`crate::SolveOptions::with_portfolio_width`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DispatchPlan {
-    /// Workers running the model-improving linear SAT-UNSAT search.
-    pub linear_width: usize,
-    /// Workers running the OLL core-guided search.
-    pub core_width: usize,
-    /// Whether the workers exchange learned clauses (and, across strategy
-    /// groups, bounds).
-    pub sharing: bool,
+    /// Portfolio workers racing on the call (at least 1).
+    pub width: usize,
     /// The hardness signal the plan was sized from (recorded for
     /// telemetry rows, so per-family bias mining has data).
     pub hardness: u64,
-}
-
-impl DispatchPlan {
-    /// Total worker count across both strategy groups.
-    pub fn total_width(&self) -> usize {
-        self.linear_width + self.core_width
-    }
-
-    /// Stable label of the strategy mix for telemetry rows.
-    pub fn mix_label(&self) -> &'static str {
-        match (self.linear_width, self.core_width) {
-            (_, 0) => "linear",
-            (0, _) => "core-guided",
-            _ => "linear+core-guided",
-        }
-    }
-}
-
-impl Default for DispatchPlan {
-    /// The conservative plan: one linear worker, no sharing.
-    fn default() -> Self {
-        DispatchPlan {
-            linear_width: 1,
-            core_width: 0,
-            sharing: false,
-            hardness: 0,
-        }
-    }
 }
 
 /// True when the features say the weight-stratified core-guided search is
@@ -207,82 +162,29 @@ pub fn prefers_core(features: &InstanceFeatures) -> bool {
     features.weighted_softs > 0 && 2 * features.weighted_softs >= features.soft_clauses
 }
 
-/// Resolves features, the requested strategy, and the caller's width hint
-/// into a concrete worker plan.
-///
-/// * `Auto` widths scale with hardness: 1 below [`SMALL_INSTANCE`], at
-///   most 2 below [`MEDIUM_INSTANCE`], the machine-sized
-///   [`sat::auto_width`] beyond; forced widths are honored as-is.
-/// * Sharing turns on at [`SMALL_INSTANCE`] — the same gate the portfolio
-///   applies internally, now decided once and recorded in the plan — and
-///   is always on for a mixed plan, whose whole point is cross-strategy
-///   cooperation.
-/// * `Strategy::Race` on a small `Auto` request degenerates to a single
-///   worker — linear, or core-guided when [`prefers_core`] says the
-///   objective is weighted (the race overhead loses on small instances
-///   either way, per the bench data); otherwise the width splits into a
-///   heterogeneous linear + core-guided worker set, with the rounding
-///   benefit going to the strategy [`prefers_core`] favors. A forced
-///   width of 1 still races one worker per strategy — an explicit
-///   race request always gets both strategies.
+/// Resolves features and the caller's width hint into a worker plan:
+/// `Auto` widths scale with hardness — 1 below [`SMALL_INSTANCE`], at
+/// most 2 below [`MEDIUM_INSTANCE`], the machine-sized
+/// [`sat::auto_width`] beyond — and forced widths are honored as-is
+/// (clamped to at least 1).
 ///
 /// # Examples
 ///
 /// ```
-/// use maxsat::{dispatch, InstanceFeatures, Strategy, WidthHint};
+/// use maxsat::{dispatch, InstanceFeatures, WidthHint};
 /// let small = InstanceFeatures { vars: 100, hard_clauses: 50, ..Default::default() };
-/// let p = dispatch::plan(&small, Strategy::Race, WidthHint::Auto);
-/// assert_eq!((p.linear_width, p.core_width), (1, 0));
-/// assert!(!p.sharing);
-/// let forced = dispatch::plan(&small, Strategy::Race, WidthHint::Forced(4));
-/// assert_eq!((forced.linear_width, forced.core_width), (2, 2));
+/// assert_eq!(dispatch::plan(&small, WidthHint::Auto).width, 1);
+/// assert_eq!(dispatch::plan(&small, WidthHint::Forced(4)).width, 4);
 /// ```
-pub fn plan(features: &InstanceFeatures, strategy: Strategy, hint: WidthHint) -> DispatchPlan {
+pub fn plan(features: &InstanceFeatures, hint: WidthHint) -> DispatchPlan {
     let hardness = features.hardness();
-    let auto_total = if hardness < SMALL_INSTANCE {
-        1
-    } else if hardness < MEDIUM_INSTANCE {
-        sat::auto_width().min(2)
-    } else {
-        sat::auto_width()
-    };
-    let total = match hint {
+    let width = match hint {
         WidthHint::Forced(n) => n.max(1),
-        WidthHint::Auto => auto_total,
+        WidthHint::Auto if hardness < SMALL_INSTANCE => 1,
+        WidthHint::Auto if hardness < MEDIUM_INSTANCE => sat::auto_width().min(2),
+        WidthHint::Auto => sat::auto_width(),
     };
-    let (linear_width, core_width) = match strategy {
-        Strategy::LinearSatUnsat => (total, 0),
-        Strategy::CoreGuided => (0, total),
-        Strategy::Race => {
-            if hint == WidthHint::Auto && hardness < SMALL_INSTANCE {
-                // The race overhead loses on small instances; a single
-                // worker of the feature-preferred strategy is the
-                // measured winner there.
-                if prefers_core(features) {
-                    (0, total)
-                } else {
-                    (total, 0)
-                }
-            } else if prefers_core(features) {
-                // Weighted objective: the core-guided group gets the
-                // rounding benefit of an odd width.
-                ((total / 2).max(1), total.div_ceil(2))
-            } else {
-                (total.div_ceil(2), (total / 2).max(1))
-            }
-        }
-    };
-    // Sharing pays its overhead back above the small-instance gate; a
-    // *mixed* plan additionally always shares — the cross-strategy
-    // exchange is the point of racing heterogeneous groups (and the
-    // historical race behaviour), whatever the instance size.
-    let sharing = hardness >= SMALL_INSTANCE || (linear_width > 0 && core_width > 0);
-    DispatchPlan {
-        linear_width,
-        core_width,
-        sharing,
-        hardness,
-    }
+    DispatchPlan { width, hardness }
 }
 
 #[cfg(test)]
@@ -298,71 +200,37 @@ mod tests {
 
     #[test]
     fn small_auto_requests_resolve_to_one_linear_worker_without_sharing() {
-        for strategy in [
-            Strategy::LinearSatUnsat,
-            Strategy::CoreGuided,
-            Strategy::Race,
-        ] {
-            let p = plan(&features(SMALL_INSTANCE - 1), strategy, WidthHint::Auto);
-            assert_eq!(p.total_width(), 1, "{strategy:?}");
-            assert!(!p.sharing, "{strategy:?}");
-        }
-        // The race specifically degenerates to linear — no second thread.
-        let p = plan(&features(10), Strategy::Race, WidthHint::Auto);
-        assert_eq!((p.linear_width, p.core_width), (1, 0));
-        assert_eq!(p.mix_label(), "linear");
+        let small = InstanceFeatures {
+            soft_clauses: 10,
+            ..features(SMALL_INSTANCE - 1)
+        };
+        assert_eq!(plan(&small, WidthHint::Auto).width, 1);
+        // Unweighted softs keep the linear search, and the small tier
+        // sits below the portfolio's own sharing gate.
+        assert!(!prefers_core(&small));
+        assert!(small.hardness() < sat::DEFAULT_MIN_INSTANCE_SIZE as u64);
     }
 
     #[test]
     fn hardness_scales_auto_width_through_the_tiers() {
-        let medium = plan(
-            &features(SMALL_INSTANCE),
-            Strategy::LinearSatUnsat,
-            WidthHint::Auto,
-        );
-        assert!(medium.total_width() <= 2);
-        assert!(medium.sharing);
-        let hard = plan(
-            &features(MEDIUM_INSTANCE),
-            Strategy::LinearSatUnsat,
-            WidthHint::Auto,
-        );
-        assert_eq!(hard.total_width(), sat::auto_width());
-        assert!(hard.total_width() >= medium.total_width());
+        let medium = plan(&features(SMALL_INSTANCE), WidthHint::Auto);
+        assert!(medium.width <= 2);
+        let hard = plan(&features(MEDIUM_INSTANCE), WidthHint::Auto);
+        assert_eq!(hard.width, sat::auto_width());
+        assert!(hard.width >= medium.width);
     }
 
     #[test]
     fn forced_widths_are_honored_and_split_across_the_race() {
-        // An explicit width is never second-guessed, only mixed.
-        let p = plan(&features(10), Strategy::Race, WidthHint::Forced(3));
-        assert_eq!((p.linear_width, p.core_width), (2, 1));
-        assert_eq!(p.total_width(), 3);
-        assert_eq!(p.mix_label(), "linear+core-guided");
-        assert!(p.sharing, "mixed plans always share, whatever the size");
-        // A forced serial race still runs one worker per strategy (the
-        // historical race shape): the caller explicitly asked to race.
-        let serial = plan(&features(10), Strategy::Race, WidthHint::Forced(1));
-        assert_eq!((serial.linear_width, serial.core_width), (1, 1));
-        // Non-race strategies take the width whole.
-        let linear = plan(
-            &features(10),
-            Strategy::LinearSatUnsat,
-            WidthHint::Forced(4),
-        );
-        assert_eq!((linear.linear_width, linear.core_width), (4, 0));
-        let core = plan(&features(10), Strategy::CoreGuided, WidthHint::Forced(4));
-        assert_eq!((core.linear_width, core.core_width), (0, 4));
-        assert_eq!(core.mix_label(), "core-guided");
-        // Width 0 clamps to 1 like everywhere else in the stack.
+        // An explicit width is never second-guessed: every forced worker
+        // joins the portfolio race, whatever the instance size.
+        assert_eq!(plan(&features(10), WidthHint::Forced(3)).width, 3);
         assert_eq!(
-            plan(
-                &features(10),
-                Strategy::LinearSatUnsat,
-                WidthHint::Forced(0)
-            )
-            .total_width(),
+            plan(&features(MEDIUM_INSTANCE), WidthHint::Forced(1)).width,
             1
         );
+        // Width 0 clamps to 1 like everywhere else in the stack.
+        assert_eq!(plan(&features(10), WidthHint::Forced(0)).width, 1);
     }
 
     #[test]
@@ -415,34 +283,10 @@ mod tests {
     }
 
     #[test]
-    fn weighted_races_bias_the_core_guided_group() {
-        let weighted = InstanceFeatures {
-            vars: 10,
-            soft_clauses: 6,
-            weighted_softs: 6,
-            ..Default::default()
-        };
-        // Small Auto race degenerates to a single core-guided worker.
-        let small = plan(&weighted, Strategy::Race, WidthHint::Auto);
-        assert_eq!((small.linear_width, small.core_width), (0, 1));
-        assert_eq!(small.mix_label(), "core-guided");
-        // An odd forced width gives the core-guided group the extra
-        // worker; the unweighted split is mirrored.
-        let odd = plan(&weighted, Strategy::Race, WidthHint::Forced(3));
-        assert_eq!((odd.linear_width, odd.core_width), (1, 2));
-        let serial = plan(&weighted, Strategy::Race, WidthHint::Forced(1));
-        assert_eq!(
-            (serial.linear_width, serial.core_width),
-            (1, 1),
-            "an explicit race always gets both strategies"
-        );
-    }
-
-    #[test]
     fn plan_is_deterministic_and_recorded() {
         let f = features(SMALL_INSTANCE + 7);
-        let a = plan(&f, Strategy::Race, WidthHint::Forced(4));
-        let b = plan(&f, Strategy::Race, WidthHint::Forced(4));
+        let a = plan(&f, WidthHint::Auto);
+        let b = plan(&f, WidthHint::Auto);
         assert_eq!(a, b);
         assert_eq!(a.hardness, SMALL_INSTANCE + 7);
     }

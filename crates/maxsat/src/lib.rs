@@ -48,7 +48,5 @@ pub use solve::{
     solve, solve_with_backend, solve_with_options, solve_with_session, MaxSatOutcome, MaxSatStatus,
     SolveOptions,
 };
-pub use strategy::{
-    CoreGuided, LinearSatUnsat, RaceBounds, SearchContext, SearchStrategy, Strategy,
-};
+pub use strategy::{CoreGuided, LinearSatUnsat, SearchContext, SearchStrategy, Strategy};
 pub use wcnf::{SoftClause, WcnfInstance};

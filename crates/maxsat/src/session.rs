@@ -18,8 +18,8 @@
 //! while learning it. Re-solving under different assumptions — a tighter
 //! bound, a bigger budget — therefore cannot change any answer; the
 //! carried clauses only prune the new search. This is the same
-//! conservative-extension argument that makes the strategy race's clause
-//! exchange sound, applied across *time* instead of across workers.
+//! conservative-extension argument that makes portfolio clause sharing
+//! sound, applied across *time* instead of across workers.
 //!
 //! The one deliberate exception is *soft hardening* (see
 //! [`crate::CoreGuided`]): a hardened soft's unit clause is sound only
@@ -52,7 +52,6 @@ pub struct MaxSatSession<B: SatBackend> {
     pub(crate) indicators: Vec<(sat::Lit, u64)>,
     pub(crate) constant_cost: u64,
     pub(crate) quantum: u64,
-    pub(crate) shared_vars: usize,
     /// The strategy whose private encoding (totalizers) the solver
     /// carries; a resume under a different strategy would mix encodings,
     /// so it falls back to a cold start.
@@ -88,11 +87,8 @@ pub struct MaxSatSession<B: SatBackend> {
 impl<B: SatBackend> MaxSatSession<B> {
     /// True when this session may warm-start a solve of `instance` under
     /// `options`: same instance shape, same quantization, same strategy.
-    /// (`Race` never resumes — its racers hold two divergent encodings.)
     pub fn compatible(&self, instance: &WcnfInstance, options: &SolveOptions) -> bool {
-        let strategy = options.strategy;
-        strategy == self.strategy
-            && strategy != Strategy::Race
+        options.strategy == self.strategy
             && instance.num_vars() == self.instance_vars
             && instance.hard_clauses().len() == self.hard_count
             && instance.soft_clauses().len() == self.soft_count
@@ -126,7 +122,6 @@ impl<B: SatBackend> MaxSatSession<B> {
             indicators: self.indicators.clone(),
             constant_cost: self.constant_cost,
             quantum: self.quantum,
-            shared_vars: self.shared_vars,
             strategy: self.strategy,
             totalizer: self.totalizer.clone(),
             oll_active: self.oll_active.clone(),

@@ -4,9 +4,8 @@
 //! engine that keeps the best model found so far and returns it when the
 //! budget expires — the property SATMAP relies on for large circuits. The
 //! search itself is pluggable (see [`crate::strategy`]): the classic
-//! model-improving [`crate::LinearSatUnsat`] loop (default), the
-//! core-guided [`crate::CoreGuided`] lower-bounding search, or a
-//! [`Strategy::Race`] of both with first-proof-wins semantics.
+//! model-improving [`crate::LinearSatUnsat`] loop (default) or the
+//! core-guided [`crate::CoreGuided`] lower-bounding search.
 //!
 //! The engine is generic over [`SatBackend`]; [`solve`] instantiates it
 //! with the workspace default, and [`solve_with_backend`] lets callers
@@ -16,11 +15,9 @@
 
 use sat::{ResourceBudget, SatBackend, SolverTelemetry};
 
-use crate::dispatch::{self, DispatchPlan, InstanceFeatures, WidthHint};
+use crate::dispatch::{self, InstanceFeatures, WidthHint};
 use crate::session::MaxSatSession;
-use crate::strategy::{
-    run_plan, CoreGuided, LinearSatUnsat, SearchContext, SearchStrategy, Strategy,
-};
+use crate::strategy::{CoreGuided, LinearSatUnsat, SearchContext, SearchStrategy, Strategy};
 use crate::wcnf::WcnfInstance;
 
 /// Status of a completed MaxSAT search.
@@ -61,11 +58,6 @@ pub struct SolveOptions {
     /// Which search strategy drives the optimization (linear SAT-UNSAT by
     /// default; see [`Strategy`]).
     pub strategy: Strategy,
-    /// A pre-computed worker plan from the instance-feature dispatcher
-    /// (see [`crate::dispatch`]). `None` makes the engine compute one from
-    /// the instance itself; the routing layers pass richer features
-    /// (device size, encoding estimate) and stamp the plan here.
-    pub dispatch: Option<DispatchPlan>,
     /// Core-guided search only: partition the softs into weight strata
     /// (RC2-style, capped at [`SolveOptions::max_strata`]) and search
     /// highest-stratum-first, folding each stratum's proven bound into the
@@ -82,9 +74,7 @@ pub struct SolveOptions {
     pub core_exhaustion: bool,
     /// Core-guided search only: assert a soft hard once its remaining
     /// weight exceeds the incumbent-minus-lower-bound gap (no improving
-    /// model can afford to falsify it). Automatically disabled while a
-    /// clause exchange is attached — hardened clauses are sound only
-    /// relative to this search's incumbent and must not leak to peers.
+    /// model can afford to falsify it).
     pub core_hardening: bool,
     /// Core-guided search only: SAT-call cap for the destructive
     /// core-trimming pass ([`sat::trim_core`]) run before each relaxation;
@@ -98,7 +88,6 @@ impl Default for SolveOptions {
             totalizer_units: 4000,
             portfolio_width: None,
             strategy: Strategy::default(),
-            dispatch: None,
             stratify: true,
             max_strata: 8,
             core_exhaustion: true,
@@ -126,13 +115,6 @@ impl SolveOptions {
     /// Returns a copy selecting the given search strategy.
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Returns a copy carrying a pre-computed dispatch plan (see
-    /// [`crate::dispatch::plan`]).
-    pub fn with_dispatch(mut self, plan: DispatchPlan) -> Self {
-        self.dispatch = Some(plan);
         self
     }
 
@@ -179,23 +161,16 @@ impl SolveOptions {
     }
 }
 
-/// The plan this call runs under: the caller's pre-computed plan when
-/// present, otherwise one sized from the instance's own features.
-fn resolved_plan(instance: &WcnfInstance, options: &SolveOptions) -> DispatchPlan {
-    options.dispatch.unwrap_or_else(|| {
-        let hint = options
-            .portfolio_width
-            .map_or(WidthHint::Auto, WidthHint::Forced);
-        dispatch::plan(&InstanceFeatures::of(instance), options.strategy, hint)
-    })
-}
-
-/// Records the dispatch decision on the outcome's telemetry so it reaches
+/// Records the dispatch decision this call ran under — the requested
+/// portfolio width, or the width the dispatcher sizes from the instance
+/// when none was requested — on the outcome's telemetry, so it reaches
 /// `RouteOutcome::to_json` and the NDJSON rows.
-fn stamp_dispatch(outcome: &mut MaxSatOutcome, plan: DispatchPlan) {
-    outcome.telemetry.dispatch_width = plan.total_width() as u32;
-    outcome.telemetry.dispatch_mix = Some(plan.mix_label());
-    outcome.telemetry.dispatch_sharing = plan.sharing;
+fn stamp_dispatch(outcome: &mut MaxSatOutcome, instance: &WcnfInstance, options: &SolveOptions) {
+    let hint = options
+        .portfolio_width
+        .map_or(WidthHint::Auto, WidthHint::Forced);
+    let plan = dispatch::plan(&InstanceFeatures::of(instance), hint);
+    outcome.telemetry.dispatch_width = plan.width as u32;
     outcome.telemetry.dispatch_hardness = plan.hardness;
 }
 
@@ -213,8 +188,7 @@ pub struct MaxSatOutcome {
     /// Weight quantum the totalizer was built with (`1` = exact weights;
     /// larger quanta can only claim [`MaxSatStatus::Feasible`]).
     pub quantum: u64,
-    /// Name of the search strategy that produced this outcome — for a
-    /// [`Strategy::Race`], the racer whose answer was kept.
+    /// Name of the search strategy that produced this outcome.
     pub strategy: &'static str,
     /// Solver effort spent answering this call.
     pub telemetry: SolverTelemetry,
@@ -256,43 +230,36 @@ pub fn solve(instance: &WcnfInstance, budget: ResourceBudget) -> MaxSatOutcome {
 }
 
 /// [`solve`] with an explicit [`SatBackend`] implementation.
-pub fn solve_with_backend<B: SatBackend + Default + Send>(
+pub fn solve_with_backend<B: SatBackend + Default>(
     instance: &WcnfInstance,
     budget: ResourceBudget,
 ) -> MaxSatOutcome {
     solve_with_options::<B>(instance, &budget, &SolveOptions::default())
 }
 
-/// [`solve`] with an explicit backend and engine tunables: dispatches the
+/// [`solve`] with an explicit backend and engine tunables: runs the
 /// selected [`Strategy`] over a freshly encoded
-/// [`SearchContext`](crate::SearchContext). (`Send` bounds the backend so
-/// [`Strategy::Race`] can run its heterogeneous worker groups on scoped
-/// threads.)
-///
-/// [`Strategy::Race`] runs through the unified plan engine
-/// (`crate::strategy::run_plan`): the instance-feature dispatcher sizes
-/// a linear + core-guided worker set (see [`crate::dispatch`]), and small
-/// instances degenerate to a single inline linear search with no race
-/// overhead at all.
-pub fn solve_with_options<B: SatBackend + Default + Send>(
+/// [`SearchContext`](crate::SearchContext).
+pub fn solve_with_options<B: SatBackend + Default>(
     instance: &WcnfInstance,
     budget: &ResourceBudget,
     options: &SolveOptions,
 ) -> MaxSatOutcome {
-    let plan = resolved_plan(instance, options);
-    let mut outcome = match options.strategy {
-        Strategy::LinearSatUnsat => {
-            let mut ctx = SearchContext::<B>::new(instance, budget, options);
-            LinearSatUnsat.search(&mut ctx)
-        }
-        Strategy::CoreGuided => {
-            let mut ctx = SearchContext::<B>::new(instance, budget, options);
-            CoreGuided.search(&mut ctx)
-        }
-        Strategy::Race => run_plan::<B>(instance, budget, options, plan),
-    };
-    stamp_dispatch(&mut outcome, plan);
+    let mut ctx = SearchContext::<B>::new(instance, budget, options);
+    let mut outcome = search(&mut ctx, options.strategy);
+    stamp_dispatch(&mut outcome, instance, options);
     outcome
+}
+
+/// Runs `strategy` over a prepared context.
+fn search<B: SatBackend + Default>(
+    ctx: &mut SearchContext<'_, B>,
+    strategy: Strategy,
+) -> MaxSatOutcome {
+    match strategy {
+        Strategy::LinearSatUnsat => LinearSatUnsat.search(ctx),
+        Strategy::CoreGuided => CoreGuided.search(ctx),
+    }
 }
 
 /// [`solve_with_options`] with warm-start session reuse: a prior solve of
@@ -306,38 +273,26 @@ pub fn solve_with_options<B: SatBackend + Default + Send>(
 /// routing layers key sessions by a canonical request fingerprint to
 /// guarantee it, and [`MaxSatSession::compatible`] additionally rejects
 /// obvious shape mismatches (falling back to a cold solve, never
-/// corrupting). [`Strategy::Race`] never resumes: its two racers hold
-/// divergent private encodings; the session is left untouched so a later
-/// non-race call can still use it.
+/// corrupting).
 ///
 /// Warm outcomes report `telemetry.warm_start = true` with
 /// `telemetry.reused_clauses` counting the carried arena. See
 /// [`MaxSatSession`] for the conservative-extension argument for why
 /// clause reuse cannot change answers.
-pub fn solve_with_session<B: SatBackend + Default + Send>(
+pub fn solve_with_session<B: SatBackend + Default>(
     instance: &WcnfInstance,
     budget: &ResourceBudget,
     options: &SolveOptions,
     session: &mut Option<MaxSatSession<B>>,
 ) -> MaxSatOutcome {
-    let plan = resolved_plan(instance, options);
-    if options.strategy == Strategy::Race {
-        let mut outcome = run_plan::<B>(instance, budget, options, plan);
-        stamp_dispatch(&mut outcome, plan);
-        return outcome;
-    }
     let resumed = session.take().filter(|s| s.compatible(instance, options));
     let mut ctx = match resumed {
         Some(s) => SearchContext::resume(s, instance, budget, options),
         None => SearchContext::<B>::new(instance, budget, options),
     };
-    let mut outcome = match options.strategy {
-        Strategy::LinearSatUnsat => LinearSatUnsat.search(&mut ctx),
-        Strategy::CoreGuided => CoreGuided.search(&mut ctx),
-        Strategy::Race => unreachable!("race handled above"),
-    };
+    let mut outcome = search(&mut ctx, options.strategy);
     *session = Some(ctx.into_session(options.strategy, options, &outcome));
-    stamp_dispatch(&mut outcome, plan);
+    stamp_dispatch(&mut outcome, instance, options);
     outcome
 }
 
@@ -609,37 +564,6 @@ mod tests {
             assert_eq!(warm.cost, cold.cost);
             assert!(warm.telemetry.warm_start);
         }
-    }
-
-    #[test]
-    fn race_strategy_leaves_the_session_untouched() {
-        let inst = session_instance();
-        let options = SolveOptions::default();
-        let mut session = None;
-        let cold = solve_with_session::<sat::DefaultBackend>(
-            &inst,
-            &ResourceBudget::unlimited(),
-            &options,
-            &mut session,
-        );
-        let race_opts = options.with_strategy(Strategy::Race);
-        let raced = solve_with_session::<sat::DefaultBackend>(
-            &inst,
-            &ResourceBudget::unlimited(),
-            &race_opts,
-            &mut session,
-        );
-        assert_eq!(raced.cost, cold.cost);
-        assert!(!raced.telemetry.warm_start);
-        // The linear session survived the race and still resumes.
-        let warm = solve_with_session::<sat::DefaultBackend>(
-            &inst,
-            &ResourceBudget::unlimited(),
-            &options,
-            &mut session,
-        );
-        assert_eq!(warm.cost, cold.cost);
-        assert!(warm.telemetry.warm_start);
     }
 
     /// Brute-force reference for small weighted instances.

@@ -1,4 +1,4 @@
-//! Search strategies of the MaxSAT engine, and the driver that races them.
+//! Search strategies of the MaxSAT engine.
 //!
 //! The engine's optimality search is factored into a [`SearchStrategy`]
 //! over a shared [`SearchContext`] (solver, soft-clause indicators, weight
@@ -15,94 +15,25 @@
 //!   bound walks up one output at a time. The first SAT answer *is* the
 //!   optimum. Strong when the optimum is small and cores are local.
 //!
-//! Neither dominates — which is why [`Strategy::Race`] runs both. Races
-//! execute through the unified plan engine (`run_plan`): the
-//! instance-feature dispatcher ([`crate::dispatch`]) sizes a worker plan
-//! (how many linear workers, how many core-guided, sharing on or off),
-//! each strategy *group* runs as a [`sat::PortfolioBackend`] worker set
-//! carrying its own [`sat::WorkerRole`] (diversification seed), and the
-//! first group to return a *proof* (an `Optimal` or `Unsat` answer)
-//! cancels the other through the shared [`sat::CancelToken`] chain.
-//! Small instances degenerate to a single inline linear search — no
-//! threads, no exchange, no race overhead at all.
+//! Neither dominates, so every solve call runs exactly one of them,
+//! selected by [`Strategy`] (the routing layers resolve their `Auto`
+//! knob per instance; see [`crate::dispatch::prefers_core`]).
 //!
 //! Every bound in both strategies is passed as an **assumption**, never
-//! asserted as a clause, so each worker's clause database stays a
-//! conservative extension of the shared instance — which makes two kinds
-//! of cooperation sound: racing groups exchange learned clauses over the
-//! shared variable prefix ([`sat::SharingConfig::var_limit`]), and they
-//! exchange *bounds* through [`RaceBounds`] — the linear group receives
-//! the core-guided group's proved lower bound (closing its final UNSAT
-//! call early), the core-guided group receives the incumbent cost
-//! (stopping once the incumbent provably meets its bound).
+//! asserted as a clause, so the clause database stays a conservative
+//! extension of the instance — which keeps portfolio clause sharing and
+//! warm-start session reuse sound. (Core-guided soft hardening is the one
+//! deliberate, session-recorded exception.)
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use sat::{
-    ClauseExchange, ExchangePort, Lit, ResourceBudget, SatBackend, SharingConfig, SolveResult,
-    SolverTelemetry, Stats, WorkerRole,
-};
+use sat::{Lit, ResourceBudget, SatBackend, SolveResult, SolverTelemetry, Stats};
 
-use crate::dispatch::{DispatchPlan, CORE_ROLE_SEED};
 use crate::encodings::Totalizer;
 use crate::session::MaxSatSession;
 use crate::solve::{MaxSatOutcome, MaxSatStatus, SolveOptions};
 use crate::wcnf::WcnfInstance;
-
-/// Bounds exchanged between the racing strategy groups of a worker plan,
-/// in quantized cost units (both groups quantize identically — the
-/// quantum depends only on the instance and `totalizer_units`).
-///
-/// Monotone by construction: the lower bound only rises
-/// (`fetch_max`), the incumbent only falls (`fetch_min`) — so a stale
-/// read is always *conservative*, never unsound.
-#[derive(Debug)]
-pub struct RaceBounds {
-    /// Highest lower bound proved by any core-guided worker.
-    lower: AtomicU64,
-    /// Quantized cost of the best model observed by any worker.
-    incumbent: AtomicU64,
-}
-
-impl RaceBounds {
-    /// Fresh bounds: nothing proved (`lower = 0`), no incumbent
-    /// (`incumbent = u64::MAX`).
-    pub fn new() -> Self {
-        RaceBounds {
-            lower: AtomicU64::new(0),
-            incumbent: AtomicU64::new(u64::MAX),
-        }
-    }
-
-    /// Raises the proved lower bound (never lowers it).
-    pub fn publish_lower(&self, q_bound: u64) {
-        self.lower.fetch_max(q_bound, Ordering::Relaxed);
-    }
-
-    /// The highest lower bound published so far.
-    pub fn lower(&self) -> u64 {
-        self.lower.load(Ordering::Relaxed)
-    }
-
-    /// Lowers the incumbent cost (never raises it).
-    pub fn publish_incumbent(&self, q_cost: u64) {
-        self.incumbent.fetch_min(q_cost, Ordering::Relaxed);
-    }
-
-    /// The lowest incumbent cost published so far.
-    pub fn incumbent(&self) -> u64 {
-        self.incumbent.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for RaceBounds {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Conflict cap for core-trimming probes: probes refine a relaxation the
 /// main loop already paid for, so one may never cost a main-loop call's
@@ -127,10 +58,6 @@ pub enum Strategy {
     LinearSatUnsat,
     /// OLL-style core-guided lower-bounding search.
     CoreGuided,
-    /// Race both strategies as a heterogeneous worker plan sized by the
-    /// instance-feature dispatcher; first proof wins and cancels the
-    /// peer group (see `run_plan` and [`crate::dispatch`]).
-    Race,
 }
 
 impl Strategy {
@@ -139,17 +66,15 @@ impl Strategy {
         match self {
             Strategy::LinearSatUnsat => LinearSatUnsat.name(),
             Strategy::CoreGuided => CoreGuided.name(),
-            Strategy::Race => "race",
         }
     }
 }
 
 /// The state every strategy searches over: the loaded solver, the soft
 /// indicators, the weight quantum, the armed budget, telemetry, and the
-/// best model seen so far. Building the context performs the shared
-/// encoding step (hard clauses + one indicator literal per soft clause),
-/// which is identical for every strategy — the precondition for racing
-/// strategies to exchange clauses over the shared variable prefix.
+/// best model seen so far. Building the context performs the encoding
+/// step every strategy shares (hard clauses + one indicator literal per
+/// soft clause).
 pub struct SearchContext<'a, B: SatBackend> {
     solver: B,
     instance: &'a WcnfInstance,
@@ -160,10 +85,6 @@ pub struct SearchContext<'a, B: SatBackend> {
     constant_cost: u64,
     /// Weight quantum the totalizers are built with (1 = exact).
     quantum: u64,
-    /// Variables shared by every strategy's encoding (instance variables
-    /// plus soft-clause relaxers); strategy-private totalizer variables
-    /// are allocated above this mark.
-    shared_vars: usize,
     budget: ResourceBudget,
     telemetry: SolverTelemetry,
     stats_base: Stats,
@@ -192,15 +113,6 @@ pub struct SearchContext<'a, B: SatBackend> {
     core_exhaustion: bool,
     core_hardening: bool,
     core_trim_probes: u32,
-    /// True once a cross-group clause exchange is attached: hardening
-    /// must stay off then — a hardened clause is only sound relative to
-    /// this search's incumbent, and lemmas derived from it must never
-    /// reach a peer group's conservative-extension clause database.
-    exchange_attached: bool,
-    /// Cross-group bound exchange, attached only when this context races
-    /// inside a heterogeneous worker plan; `None` leaves every bound
-    /// check inert.
-    bounds: Option<Arc<RaceBounds>>,
 }
 
 impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
@@ -254,7 +166,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
         // small; quantum 1 keeps the search exact.
         let total_weight: u64 = indicators.iter().map(|&(_, w)| w).sum();
         let quantum = (total_weight / options.totalizer_units.max(1)).max(1);
-        let shared_vars = solver.num_vars();
         let stats_base = *solver.stats();
 
         SearchContext {
@@ -263,7 +174,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
             indicators,
             constant_cost,
             quantum,
-            shared_vars,
             budget,
             telemetry,
             stats_base,
@@ -283,8 +193,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
             core_exhaustion: options.core_exhaustion,
             core_hardening: options.core_hardening,
             core_trim_probes: options.core_trim_probes,
-            exchange_attached: false,
-            bounds: None,
         }
     }
 
@@ -324,7 +232,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
             indicators: session.indicators,
             constant_cost: session.constant_cost,
             quantum: session.quantum,
-            shared_vars: session.shared_vars,
             budget,
             telemetry,
             stats_base,
@@ -344,8 +251,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
             core_exhaustion: options.core_exhaustion,
             core_hardening: options.core_hardening,
             core_trim_probes: options.core_trim_probes,
-            exchange_attached: false,
-            bounds: None,
         }
     }
 
@@ -363,7 +268,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
             indicators: self.indicators,
             constant_cost: self.constant_cost,
             quantum: self.quantum,
-            shared_vars: self.shared_vars,
             strategy,
             totalizer: self.stashed_totalizer,
             oll_active: self.stashed_active,
@@ -397,12 +301,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
     /// True once any model has been recorded.
     pub fn has_model(&self) -> bool {
         self.best_model.is_some()
-    }
-
-    /// Number of variables shared by every strategy's encoding; clauses
-    /// over this prefix may be exchanged between racing strategies.
-    pub fn shared_vars(&self) -> usize {
-        self.shared_vars
     }
 
     /// True once the armed budget has expired (or was cancelled).
@@ -457,51 +355,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
             .iter()
             .map(|&(l, w)| (l, w.div_ceil(self.quantum)))
             .collect()
-    }
-
-    /// Wires the context's backend into a clause exchange (used by the
-    /// strategy race; single-threaded strategies never need it). Also
-    /// disables soft hardening for this search: a hardened clause is only
-    /// sound relative to this search's incumbent, and no lemma derived
-    /// from it may leak into a peer group's clause database.
-    pub fn attach_exchange(&mut self, port: ExchangePort) {
-        self.solver.set_clause_exchange(Some(port));
-        self.exchange_attached = true;
-    }
-
-    /// Wires the context into a cross-group bound exchange (used by
-    /// `run_plan` when both strategy groups are populated). Models
-    /// observed afterwards publish their quantized cost as the shared
-    /// incumbent.
-    pub fn attach_bounds(&mut self, bounds: Arc<RaceBounds>) {
-        self.bounds = Some(bounds);
-    }
-
-    /// Applies a worker-plan role (strategy label + diversification seed)
-    /// to the backend — how `run_plan` differentiates its strategy
-    /// groups on one backend type.
-    pub fn apply_role(&mut self, role: &WorkerRole) {
-        self.solver.set_worker_role(role);
-    }
-
-    /// The highest lower bound proved by a racing core-guided group (0
-    /// without an attached exchange — the check is inert).
-    pub fn shared_lower_bound(&self) -> u64 {
-        self.bounds.as_ref().map_or(0, |b| b.lower())
-    }
-
-    /// The lowest incumbent cost any racing group observed (`u64::MAX`
-    /// without an attached exchange — the check is inert).
-    pub fn shared_incumbent(&self) -> u64 {
-        self.bounds.as_ref().map_or(u64::MAX, |b| b.incumbent())
-    }
-
-    /// Publishes a proved (quantized) lower bound to the racing peer
-    /// group; a no-op without an attached exchange.
-    pub fn publish_lower_bound(&self, q_bound: u64) {
-        if let Some(bounds) = &self.bounds {
-            bounds.publish_lower(q_bound);
-        }
     }
 
     /// One SAT call under `assumptions` within the shared budget, with the
@@ -611,31 +464,22 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
     /// model better than the incumbent, so it is asserted hard (a unit
     /// clause) and dropped from the assumption lists for the rest of the
     /// search. `paid` is the lower bound proved so far; the upper bound is
-    /// the better of the own incumbent and the race-shared one (both are
-    /// backed by actual models, so the hardened formula stays satisfiable).
+    /// the incumbent's quantized cost (backed by an actual model, so the
+    /// hardened formula stays satisfiable).
     ///
     /// Sound for the search's claim because hardening only excludes models
     /// whose quantized cost provably exceeds the incumbent's — every
-    /// quantized-optimal model survives. Disabled while a clause exchange
-    /// is attached (see [`SearchContext::attach_exchange`]).
+    /// quantized-optimal model survives.
     pub fn harden(
         &mut self,
         paid: u64,
         active: &mut Vec<(Lit, u64)>,
         pending: &mut Vec<Vec<(Lit, u64)>>,
     ) -> u64 {
-        if !self.core_hardening || self.exchange_attached {
+        if !self.core_hardening || self.best_model.is_none() {
             return 0;
         }
-        let own = if self.best_model.is_some() {
-            self.best_q_cost
-        } else {
-            u64::MAX
-        };
-        let ub = own.min(self.shared_incumbent());
-        if ub == u64::MAX {
-            return 0;
-        }
+        let ub = self.best_q_cost;
         let mut count = 0u64;
         let mut harden_list =
             |solver: &mut B, hardened: &mut Vec<Lit>, list: &mut Vec<(Lit, u64)>| {
@@ -722,11 +566,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
             self.best_q_cost = q_cost;
             self.best_model = Some(model);
         }
-        // Any model's quantized cost is a valid upper bound for the
-        // racing peer group, incumbent or not.
-        if let Some(bounds) = &self.bounds {
-            bounds.publish_incumbent(q_cost);
-        }
         (cost, q_cost)
     }
 
@@ -805,7 +644,7 @@ pub trait SearchStrategy {
 /// optimality. The bound is passed as a single *assumption* on the
 /// totalizer's smallest violated output (the ordering chain propagates the
 /// rest), never asserted as a clause — so the clause database stays a
-/// conservative extension of the instance and lemmas remain exchangeable.
+/// conservative extension of the instance and lemmas remain shareable.
 pub struct LinearSatUnsat;
 
 impl SearchStrategy for LinearSatUnsat {
@@ -849,15 +688,6 @@ impl SearchStrategy for LinearSatUnsat {
         let outcome = loop {
             if ctx.budget_expired() {
                 break ctx.finish_exhausted(self.name());
-            }
-            // Bound exchange: once the racing core-guided group has proved
-            // a lower bound our incumbent meets, the incumbent *is* the
-            // quantized optimum — the closing UNSAT call is unnecessary.
-            // (Sound because no quantized model can cost less than a
-            // proved lower bound, and the bound only ever rises.)
-            if ctx.has_model() && ctx.best_q_cost() <= ctx.shared_lower_bound() {
-                let status = ctx.proved_status();
-                break ctx.finish(status, self.name());
             }
             let assumptions: Vec<Lit> = bound.into_iter().collect();
             match ctx.solve(&assumptions) {
@@ -970,14 +800,11 @@ impl SearchStrategy for CoreGuided {
         ctx.record_strata(1 + pending.len() as u64);
         let mut relaxations: Vec<Totalizer> = Vec::new();
         let mut successors: HashMap<Lit, RelaxSource> = HashMap::new();
-        // Lower bound proved *by this call* (core payments), published to
-        // a racing linear group through the bound exchange. Starts at 0
+        // Lower bound proved *by this call* (core payments). Starts at 0
         // even on a warm resume — prior payments are implicit in the
-        // reduced weights and were never shared — so everything published
-        // is freshly proved from the conservative-extension clause DB.
-        // Payments stay sound while strata are pending: a core over the
-        // heavy strata lower-bounds the full objective because the
-        // unfolded light softs can only add cost.
+        // reduced weights. Payments stay sound while strata are pending:
+        // a core over the heavy strata lower-bounds the full objective
+        // because the unfolded light softs can only add cost.
         let mut paid: u64 = 0;
 
         let outcome = loop {
@@ -990,14 +817,6 @@ impl SearchStrategy for CoreGuided {
             if ctx.has_model() && ctx.best_q_cost() <= paid {
                 let status = ctx.proved_status();
                 break ctx.finish(status, self.name());
-            }
-            // Bound exchange: once a racing peer holds a *better* model
-            // whose cost our own lower bound already matches, that
-            // incumbent is the quantized optimum and the peer will prove
-            // it — stop burning budget. No proof is claimed here (the
-            // exhausted exit never contends for the win).
-            if ctx.shared_incumbent() <= paid {
-                break ctx.finish_exhausted(self.name());
             }
             let assumptions: Vec<Lit> = active.iter().map(|&(l, _)| l).collect();
             match ctx.solve(&assumptions) {
@@ -1036,7 +855,6 @@ impl SearchStrategy for CoreGuided {
                         .min()
                         .expect("core literals are active assumptions");
                     paid += min_w;
-                    ctx.publish_lower_bound(paid);
                     // Pay min_w into the lower bound: every core member's
                     // weight drops by it, and members reaching zero retire.
                     for c in &core {
@@ -1073,7 +891,6 @@ impl SearchStrategy for CoreGuided {
                                 match ctx.probe(&[!o], EXHAUST_CONFLICT_CAP) {
                                     SolveResult::Unsat => {
                                         paid += min_w;
-                                        ctx.publish_lower_bound(paid);
                                         ctx.count_exhaustion_step();
                                         bound += 1;
                                     }
@@ -1105,195 +922,6 @@ impl SearchStrategy for CoreGuided {
         ctx.stash_pending(pending);
         outcome
     }
-}
-
-/// Runs a [`DispatchPlan`] — the unified execution engine behind
-/// [`Strategy::Race`].
-///
-/// Single-group plans (every worker running one strategy) execute
-/// *inline*: one [`SearchContext`] whose backend takes the whole group's
-/// width, no threads, no exchange — this is how small `Auto` requests
-/// escape the race overhead entirely.
-///
-/// Mixed plans race a linear group against a core-guided group within
-/// one shared (already armed) budget: the first group to return a
-/// *proof* (`Optimal` or `Unsat`) wins and cancels its peer through the
-/// budget's [`sat::CancelToken`] chain. Without a proof, the better
-/// feasible answer is kept (ties favour the linear incumbent). Each
-/// group gets a [`WorkerRole`]: the linear group keeps the base seed 0
-/// (the historical default configuration), the core-guided group is
-/// diversified from [`CORE_ROLE_SEED`] — so fault injection and
-/// diagnostics can tell the groups apart.
-///
-/// The groups cooperate two ways, both sound because bounds travel as
-/// assumptions and every clause database stays a conservative extension
-/// of the shared instance:
-///
-/// * when `plan.sharing` is on, both attach to one [`ClauseExchange`]
-///   restricted to the shared variable prefix, so instance-level lemmas
-///   learned while one strategy refutes its bound prune the other
-///   strategy's search too; a width-1 [`sat::PortfolioBackend`] rides
-///   the port on its primary, while wider groups keep their internal
-///   exchange as well;
-/// * a [`RaceBounds`] pair is always attached: the linear group closes
-///   early once its incumbent meets the core-guided group's proved lower
-///   bound, and the core-guided group stops once the shared incumbent
-///   provably meets its bound.
-pub(crate) fn run_plan<B: SatBackend + Default + Send>(
-    instance: &WcnfInstance,
-    budget: &ResourceBudget,
-    options: &SolveOptions,
-    plan: DispatchPlan,
-) -> MaxSatOutcome {
-    // Single-strategy plans run inline — no race machinery at all.
-    if plan.core_width == 0 {
-        let opts = options.with_portfolio_width(plan.linear_width.max(1));
-        let mut ctx = SearchContext::<B>::new(instance, budget, &opts);
-        return LinearSatUnsat.search(&mut ctx);
-    }
-    if plan.linear_width == 0 {
-        let opts = options.with_portfolio_width(plan.core_width.max(1));
-        let mut ctx = SearchContext::<B>::new(instance, budget, &opts);
-        return CoreGuided.search(&mut ctx);
-    }
-
-    let armed = budget.arm();
-    let (worker_budget, abort) = armed.cancellable();
-    // Both strategies encode the instance identically, so variables below
-    // this mark mean the same thing to both; totalizer variables above it
-    // are strategy-private and never cross.
-    let shared_vars = instance.num_vars()
-        + instance
-            .soft_clauses()
-            .iter()
-            .filter(|s| s.lits.len() >= 2)
-            .count();
-    // Assumption-heavy MaxSAT solving spreads learned clauses over many
-    // pseudo-decision levels, inflating LBD well past the portfolio
-    // default — so the groups' exchange accepts glue up to 8 and longer
-    // clauses (every export is still a consequence of the shared prefix).
-    // The dispatcher decides whether sharing pays at all.
-    let exchange = plan.sharing.then(|| {
-        Arc::new(ClauseExchange::new(
-            2,
-            SharingConfig {
-                lbd_max: 8,
-                max_len: 64,
-                var_limit: Some(shared_vars),
-                ..SharingConfig::default()
-            },
-        ))
-    });
-    // Bound exchange rides even when clause sharing is off: it is two
-    // atomics, free at any instance size.
-    let bounds = Arc::new(RaceBounds::new());
-    let first_proof: Mutex<Option<usize>> = Mutex::new(None);
-
-    let run = |strategy: &dyn Fn(&mut SearchContext<'_, B>) -> MaxSatOutcome,
-               group: usize,
-               role: WorkerRole,
-               width: usize| {
-        let opts = options.with_portfolio_width(width);
-        let mut ctx = SearchContext::<B>::new(instance, &worker_budget, &opts);
-        debug_assert_eq!(ctx.shared_vars(), shared_vars);
-        ctx.apply_role(&role);
-        if let Some(exchange) = &exchange {
-            ctx.attach_exchange(ExchangePort::new(exchange.clone(), group));
-        }
-        ctx.attach_bounds(bounds.clone());
-        let outcome = strategy(&mut ctx);
-        if matches!(outcome.status, MaxSatStatus::Optimal | MaxSatStatus::Unsat) {
-            let mut slot = first_proof
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            if slot.is_none() {
-                *slot = Some(group);
-                abort.cancel();
-            }
-        }
-        outcome
-    };
-
-    // Each group runs behind a panic guard: a crashing strategy forfeits
-    // its side of the race (its incumbent dies with it) while the survivor
-    // keeps searching — the process never unwinds through the scope.
-    let (linear_out, core_out) = std::thread::scope(|scope| {
-        let linear = scope.spawn(|| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run(
-                    &|ctx| LinearSatUnsat.search(ctx),
-                    0,
-                    WorkerRole {
-                        label: "linear",
-                        seed: 0,
-                        sharing: None,
-                    },
-                    plan.linear_width,
-                )
-            }))
-            .ok()
-        });
-        let core = scope.spawn(|| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run(
-                    &|ctx| CoreGuided.search(ctx),
-                    1,
-                    WorkerRole {
-                        label: "core-guided",
-                        seed: CORE_ROLE_SEED,
-                        sharing: None,
-                    },
-                    plan.core_width,
-                )
-            }))
-            .ok()
-        });
-        (linear.join().ok().flatten(), core.join().ok().flatten())
-    });
-
-    let crashed = u64::from(linear_out.is_none()) + u64::from(core_out.is_none());
-    let winner = *first_proof
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let (mut out, other) = match (linear_out, core_out) {
-        (None, None) => {
-            // Both racers crashed: nothing to salvage, but the caller
-            // still gets a typed non-answer instead of a process panic.
-            let mut telemetry = SolverTelemetry::new();
-            telemetry.worker_panics = crashed;
-            telemetry.strategy = Some("race");
-            return MaxSatOutcome {
-                status: MaxSatStatus::Unknown,
-                model: None,
-                cost: None,
-                iterations: 0,
-                quantum: 1,
-                strategy: "race",
-                telemetry,
-            };
-        }
-        (Some(l), None) => (l, None),
-        (None, Some(c)) => (c, None),
-        (Some(l), Some(c)) => match winner {
-            Some(1) => (c, Some(l)),
-            Some(_) => (l, Some(c)),
-            None => match (l.cost, c.cost) {
-                // Budget ran dry on both: keep the better incumbent.
-                (Some(lc), Some(cc)) if cc < lc => (c, Some(l)),
-                (None, Some(_)) => (c, Some(l)),
-                _ => (l, Some(c)),
-            },
-        },
-    };
-    // The race's total effort is both workers'; the strategy label stays
-    // the winner's (absorb would otherwise take the loser's).
-    let strategy = out.strategy;
-    if let Some(other) = &other {
-        out.telemetry.absorb(&other.telemetry);
-    }
-    out.telemetry.worker_panics += crashed;
-    out.telemetry.strategy = Some(strategy);
-    out
 }
 
 #[cfg(test)]
@@ -1388,75 +1016,68 @@ mod tests {
         assert_eq!(out.cost, Some(3), "violate the weight-3 soft, keep b");
     }
 
-    /// A forced width-2 plan always races one worker per strategy — the
-    /// path every heterogeneous test drives.
-    fn mixed_plan(inst: &WcnfInstance) -> DispatchPlan {
-        let plan = crate::dispatch::plan(
-            &crate::dispatch::InstanceFeatures::of(inst),
-            Strategy::Race,
-            crate::dispatch::WidthHint::Forced(2),
-        );
-        assert_eq!((plan.linear_width, plan.core_width), (1, 1));
-        plan
+    /// Runs `strategy` on a `width`-worker portfolio race (one search,
+    /// its SAT calls raced by diversified clones of one backend).
+    fn portfolio_search<S: SearchStrategy, B: SatBackend + Default + Send + Clone>(
+        strategy: &S,
+        inst: &WcnfInstance,
+        budget: &ResourceBudget,
+        width: usize,
+    ) -> MaxSatOutcome {
+        let options = SolveOptions::default().with_portfolio_width(width);
+        let mut ctx = SearchContext::<sat::PortfolioBackend<B>>::new(inst, budget, &options);
+        strategy.search(&mut ctx)
     }
 
     #[test]
     fn race_returns_optimal_and_merges_effort() {
         let inst = weighted_instance();
-        let out = run_plan::<DefaultBackend>(
-            &inst,
-            &ResourceBudget::unlimited(),
-            &SolveOptions::default(),
-            mixed_plan(&inst),
-        );
-        assert_eq!(out.status, MaxSatStatus::Optimal);
-        assert_eq!(out.cost, Some(1));
-        assert!(
-            out.strategy == "linear-sat-unsat" || out.strategy == "core-guided",
-            "winner must be one of the racing groups: {}",
-            out.strategy
-        );
-        assert_eq!(out.telemetry.strategy, Some(out.strategy));
-        // Both groups' SAT calls are charged.
-        assert!(out.telemetry.sat_calls >= 2, "{}", out.telemetry);
+        for out in [
+            portfolio_search::<_, DefaultBackend>(
+                &LinearSatUnsat,
+                &inst,
+                &ResourceBudget::unlimited(),
+                2,
+            ),
+            portfolio_search::<_, DefaultBackend>(
+                &CoreGuided,
+                &inst,
+                &ResourceBudget::unlimited(),
+                2,
+            ),
+        ] {
+            assert_eq!(out.status, MaxSatStatus::Optimal);
+            assert_eq!(out.cost, Some(1));
+            assert_eq!(out.telemetry.strategy, Some(out.strategy));
+            // The race's winner and the workers' merged effort reach the
+            // search's telemetry.
+            assert!(out.telemetry.winning_worker.is_some(), "{}", out.telemetry);
+            assert!(out.telemetry.propagations > 0, "{}", out.telemetry);
+        }
     }
 
     #[test]
     fn small_auto_race_degenerates_to_one_inline_worker() {
-        // The dispatcher resolves a small Auto race to a single worker of
-        // the feature-preferred strategy (core-guided here — half the
-        // softs are weighted); run_plan executes it inline with no race
-        // machinery, and the answer matches the raced answer exactly.
+        // The dispatcher resolves an Auto-width race on a small instance
+        // to a single worker, which the portfolio runs inline; the answer
+        // matches the serial search exactly.
         let inst = weighted_instance();
         let plan = crate::dispatch::plan(
             &crate::dispatch::InstanceFeatures::of(&inst),
-            Strategy::Race,
             crate::dispatch::WidthHint::Auto,
         );
-        assert_eq!((plan.linear_width, plan.core_width), (0, 1));
-        let out = run_plan::<DefaultBackend>(
+        assert_eq!(plan.width, 1);
+        let out = portfolio_search::<_, DefaultBackend>(
+            &CoreGuided,
             &inst,
             &ResourceBudget::unlimited(),
-            &SolveOptions::default(),
-            plan,
+            plan.width,
         );
+        let serial = search_with(&CoreGuided, &inst);
         assert_eq!(out.status, MaxSatStatus::Optimal);
-        assert_eq!(out.cost, Some(1));
-        assert_eq!(out.strategy, "core-guided");
-
-        // An unweighted objective keeps the historical linear degenerate.
-        let mut unweighted = WcnfInstance::new();
-        let a = unweighted.new_var().positive();
-        let b = unweighted.new_var().positive();
-        unweighted.add_hard([a, b]);
-        unweighted.add_soft(1, [!a]);
-        unweighted.add_soft(1, [!b]);
-        let plan = crate::dispatch::plan(
-            &crate::dispatch::InstanceFeatures::of(&unweighted),
-            Strategy::Race,
-            crate::dispatch::WidthHint::Auto,
-        );
-        assert_eq!((plan.linear_width, plan.core_width), (1, 0));
+        assert_eq!(out.cost, serial.cost);
+        assert_eq!(out.iterations, serial.iterations);
+        assert_eq!(out.telemetry.winning_worker, Some(0), "inline primary");
     }
 
     #[test]
@@ -1469,11 +1090,11 @@ mod tests {
         for &l in &lits {
             inst.add_soft(1, [!l]);
         }
-        let out = run_plan::<DefaultBackend>(
+        let out = portfolio_search::<_, DefaultBackend>(
+            &LinearSatUnsat,
             &inst,
             &ResourceBudget::with_time(std::time::Duration::ZERO),
-            &SolveOptions::default(),
-            mixed_plan(&inst),
+            2,
         );
         assert!(matches!(
             out.status,
@@ -1488,122 +1109,31 @@ mod tests {
     fn race_survives_panicking_racers_with_a_typed_nonanswer() {
         use sat::chaos::{silence_panic_reports, ChaosBackend, FaultPlan};
         silence_panic_reports();
-        // Every solve call panics regardless of role, so both strategy
-        // groups crash mid-search; the race must still return a typed
-        // Unknown instead of unwinding.
+        // Every solve call panics, so both portfolio workers crash on the
+        // first SAT call; the search must still return a typed Unknown
+        // instead of unwinding.
         let previous = sat::chaos::install_plan(Some(FaultPlan::seeded(17).panic_prob(1.0)));
         let inst = weighted_instance();
-        let out = run_plan::<ChaosBackend<DefaultBackend>>(
+        let out = portfolio_search::<_, ChaosBackend<DefaultBackend>>(
+            &LinearSatUnsat,
             &inst,
             &ResourceBudget::unlimited(),
-            &SolveOptions::default(),
-            mixed_plan(&inst),
+            2,
         );
         sat::chaos::install_plan(previous);
         assert_eq!(out.status, MaxSatStatus::Unknown);
         assert_eq!(out.model, None);
         assert_eq!(
             out.telemetry.worker_panics, 2,
-            "both crashed groups are counted"
+            "both crashed workers are counted"
         );
-        assert_eq!(out.telemetry.strategy, Some("race"));
-    }
-
-    #[test]
-    fn core_guided_crash_leaves_linear_to_finish() {
-        use sat::chaos::{silence_panic_reports, ChaosBackend, FaultPlan};
-        silence_panic_reports();
-        // Target exactly the core-guided group's role seed: its worker
-        // panics on the first solve call, and the linear group must
-        // finish the race alone with a sound proof. The delay slows the
-        // (untagged) linear group's solves so the core group reliably
-        // reaches its panicking call before the race is decided.
-        let previous = sat::chaos::install_plan(Some(
-            FaultPlan::seeded(23)
-                .panic_tag(CORE_ROLE_SEED)
-                .delay_with(1.0, std::time::Duration::from_millis(20)),
-        ));
-        let inst = weighted_instance();
-        let out = run_plan::<ChaosBackend<DefaultBackend>>(
-            &inst,
-            &ResourceBudget::unlimited(),
-            &SolveOptions::default(),
-            mixed_plan(&inst),
-        );
-        sat::chaos::install_plan(previous);
-        assert_eq!(out.status, MaxSatStatus::Optimal);
-        assert_eq!(out.cost, Some(1));
-        assert_eq!(out.strategy, "linear-sat-unsat");
-        assert_eq!(
-            out.telemetry.worker_panics, 1,
-            "the crashed core-guided group is counted"
-        );
-    }
-
-    #[test]
-    fn race_bounds_are_monotone() {
-        let b = RaceBounds::new();
-        assert_eq!(b.lower(), 0);
-        assert_eq!(b.incumbent(), u64::MAX);
-        b.publish_lower(3);
-        b.publish_lower(2);
-        assert_eq!(b.lower(), 3, "the lower bound never regresses");
-        b.publish_incumbent(9);
-        b.publish_incumbent(12);
-        assert_eq!(b.incumbent(), 9, "the incumbent never regresses");
-    }
-
-    #[test]
-    fn linear_short_circuits_on_the_shared_lower_bound() {
-        // A peer-proved lower bound equal to the optimum lets the linear
-        // search skip its closing UNSAT call: same proof, one call fewer
-        // (the backend is deterministic, so the model sequence matches).
-        let inst = weighted_instance();
-        let plain = search_with(&LinearSatUnsat, &inst);
-        assert_eq!(plain.status, MaxSatStatus::Optimal);
-
-        let mut ctx = SearchContext::<DefaultBackend>::new(
-            &inst,
-            &ResourceBudget::unlimited(),
-            &SolveOptions::default(),
-        );
-        let bounds = Arc::new(RaceBounds::new());
-        bounds.publish_lower(1); // the known quantized optimum
-        ctx.attach_bounds(bounds);
-        let out = LinearSatUnsat.search(&mut ctx);
-        assert_eq!(out.status, MaxSatStatus::Optimal);
-        assert_eq!(out.cost, Some(1));
-        assert_eq!(
-            out.iterations,
-            plain.iterations - 1,
-            "the closing UNSAT call is skipped"
-        );
-    }
-
-    #[test]
-    fn core_guided_early_stop_never_claims_a_proof() {
-        // A shared incumbent at the core-guided group's own lower bound
-        // stops the search immediately — but as an exhausted Unknown,
-        // never as a winning proof (this group holds no model).
-        let inst = weighted_instance();
-        let mut ctx = SearchContext::<DefaultBackend>::new(
-            &inst,
-            &ResourceBudget::unlimited(),
-            &SolveOptions::default(),
-        );
-        let bounds = Arc::new(RaceBounds::new());
-        bounds.publish_incumbent(0);
-        ctx.attach_bounds(bounds);
-        let out = CoreGuided.search(&mut ctx);
-        assert_eq!(out.status, MaxSatStatus::Unknown);
-        assert_eq!(out.iterations, 0, "not a single SAT call is spent");
+        assert_eq!(out.telemetry.strategy, Some("linear-sat-unsat"));
     }
 
     #[test]
     fn strategy_names_are_stable() {
         assert_eq!(Strategy::LinearSatUnsat.name(), "linear-sat-unsat");
         assert_eq!(Strategy::CoreGuided.name(), "core-guided");
-        assert_eq!(Strategy::Race.name(), "race");
         assert_eq!(Strategy::default(), Strategy::LinearSatUnsat);
     }
 }

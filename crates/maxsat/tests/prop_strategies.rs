@@ -1,9 +1,8 @@
-//! Strategy-equivalence properties: `LinearSatUnsat`, `CoreGuided`, and
-//! the first-proof-wins race must report identical optimal costs on random
-//! small weighted instances (exact search, quantum = 1), plus directed
-//! regressions on the pigeonhole placement family where the core-guided
-//! strategy must reach the proof in fewer SAT calls — and win the race
-//! with cross-call clause imports on the books.
+//! Strategy-equivalence properties: `LinearSatUnsat` and `CoreGuided`
+//! must report identical optimal costs on random small weighted instances
+//! (exact search, quantum = 1), serially and on portfolio races, plus
+//! directed regressions on the pigeonhole placement family where the
+//! core-guided strategy must reach the proof in fewer SAT calls.
 
 use maxsat::{
     solve_with_options, MaxSatOutcome, MaxSatStatus, SolveOptions, Strategy, WcnfInstance,
@@ -119,7 +118,7 @@ proptest! {
         }
     }
 
-    /// All three strategies agree with each other — and with brute force —
+    /// Both strategies agree with each other — and with brute force —
     /// on random small weighted partial MaxSAT instances.
     #[test]
     fn strategies_report_identical_optimal_costs(
@@ -146,8 +145,7 @@ proptest! {
         let expect = brute_force(&inst);
         let linear = solve_strategy(&inst, Strategy::LinearSatUnsat);
         let core = solve_strategy(&inst, Strategy::CoreGuided);
-        let race = solve_strategy(&inst, Strategy::Race);
-        for (label, out) in [("linear", &linear), ("core-guided", &core), ("race", &race)] {
+        for (label, out) in [("linear", &linear), ("core-guided", &core)] {
             match expect {
                 None => prop_assert_eq!(out.status, MaxSatStatus::Unsat, "{}", label),
                 Some(c) => {
@@ -267,9 +265,7 @@ fn add_weighted_pairs(inst: &mut WcnfInstance, pairs: usize) {
 }
 
 /// Appends one pigeonhole placement block over fresh variables, in the
-/// raw soft-row shape (each pigeon's row is itself the soft clause):
-/// learned clauses stay over the cell variables, which keeps them inside
-/// the racers' shared prefix and below the exchange's glue threshold.
+/// raw soft-row shape (each pigeon's row is itself the soft clause).
 fn add_placement_block(inst: &mut WcnfInstance, pigeons: usize, holes: usize) {
     let base = inst.num_vars();
     let cell = |p: usize, h: usize| sat::Var::new(base + p * holes + h).positive();
@@ -288,8 +284,7 @@ fn add_placement_block(inst: &mut WcnfInstance, pigeons: usize, holes: usize) {
 
 /// A *hard* satisfiable permutation block (n pigeons, n holes, rows and
 /// exclusivity all hard): every SAT call of every strategy must re-search
-/// it, so both racers keep publishing shared-prefix lemmas throughout the
-/// race — the traffic behind the cross-call-import acceptance probe.
+/// it.
 fn add_hard_permutation(inst: &mut WcnfInstance, n: usize) {
     let base = inst.num_vars();
     let cell = |p: usize, h: usize| sat::Var::new(base + p * n + h).positive();
@@ -306,51 +301,7 @@ fn add_hard_permutation(inst: &mut WcnfInstance, n: usize) {
     }
 }
 
-#[test]
-fn race_on_pigeonhole_family_is_won_by_core_guided_with_cross_call_imports() {
-    // The acceptance probe: weighted exclusive pairs, two overfull
-    // pigeonhole blocks, and a hard satisfiable permutation block.
-    // Core-guided pays one propagation-cheap core per pair and one
-    // refutation per block (order-of-magnitude faster than the linear
-    // search's global weighted totalizer and joint counting proof,
-    // measured ~35x in release and ~40x in debug), so it wins the race
-    // deterministically — and its later calls import lemmas published
-    // into the racers' shared exchange during earlier calls (nonzero
-    // cross-call imports; probed at 26-103 across repeated runs). Width 2
-    // splits into width-1 backends that ride the race-level exchange.
-    let mut inst = WcnfInstance::new();
-    add_weighted_pairs(&mut inst, 30);
-    add_placement_block(&mut inst, 7, 6);
-    add_placement_block(&mut inst, 6, 5);
-    add_hard_permutation(&mut inst, 9);
-    // Optimum: min weight of each pair (Σ (2i+1) for i < 30) plus one
-    // unplaced pigeon per block.
-    let expected: u64 = (0..30).map(|i| 2 * i as u64 + 1).sum::<u64>() + 2;
-
-    let options = SolveOptions::default()
-        .with_totalizer_units(u64::MAX)
-        .with_strategy(Strategy::Race)
-        .with_portfolio_width(2);
-    let out = solve_with_options::<PortfolioBackend<DefaultBackend>>(
-        &inst,
-        &ResourceBudget::unlimited(),
-        &options,
-    );
-    assert_eq!(out.status, MaxSatStatus::Optimal);
-    assert_eq!(out.cost, Some(expected));
-    assert_eq!(
-        out.strategy, "core-guided",
-        "the core-guided racer must win the pair+placement race"
-    );
-    assert_eq!(out.telemetry.strategy, Some("core-guided"));
-    assert!(
-        out.telemetry.cross_call_imports > 0,
-        "later SAT calls must reuse lemmas exported during earlier ones: {}",
-        out.telemetry
-    );
-}
-
-/// The full acceptance-probe instance: weighted exclusive pairs, two
+/// A diverse weighted instance: weighted exclusive pairs, two
 /// overfull placement blocks, a hard permutation block. 60 distinct soft
 /// weights over 73 softs arm the diversity gate, so the stratified path
 /// (and hardening against stratum-fold incumbents) genuinely runs.
@@ -421,20 +372,26 @@ fn warm_started_stratified_solve_resumes_mid_stratum() {
 
 #[test]
 fn race_equals_linear_across_widths() {
-    // Same costs whether the race runs over serial backends or sharing
-    // portfolios — racing and sharing change the route, never the answer.
+    // Same costs whether either strategy runs serially or on a sharing
+    // portfolio race — racing and sharing change the route, never the
+    // answer.
     for pigeons in 3..=5usize {
         let inst = placement(pigeons, 3);
         let linear = solve_strategy(&inst, Strategy::LinearSatUnsat);
-        let options = SolveOptions::default()
-            .with_strategy(Strategy::Race)
-            .with_portfolio_width(2);
-        let race = solve_with_options::<PortfolioBackend<DefaultBackend>>(
-            &inst,
-            &ResourceBudget::unlimited(),
-            &options,
-        );
-        assert_eq!(race.status, linear.status, "placement({pigeons}, 3)");
-        assert_eq!(race.cost, linear.cost, "placement({pigeons}, 3)");
+        for strategy in [Strategy::LinearSatUnsat, Strategy::CoreGuided] {
+            for width in [2, 3] {
+                let options = SolveOptions::default()
+                    .with_strategy(strategy)
+                    .with_portfolio_width(width);
+                let race = solve_with_options::<PortfolioBackend<DefaultBackend>>(
+                    &inst,
+                    &ResourceBudget::unlimited(),
+                    &options,
+                );
+                let label = format!("placement({pigeons}, 3) {strategy:?} x{width}");
+                assert_eq!(race.status, linear.status, "{label}");
+                assert_eq!(race.cost, linear.cost, "{label}");
+            }
+        }
     }
 }

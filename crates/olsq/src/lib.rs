@@ -48,7 +48,6 @@ pub(crate) fn engine_options(request: &circuit::RouteRequest<'_>) -> maxsat::Sol
             maxsat::Strategy::LinearSatUnsat
         }
         circuit::SearchStrategy::CoreGuided => maxsat::Strategy::CoreGuided,
-        circuit::SearchStrategy::Race => maxsat::Strategy::Race,
     };
     maxsat::SolveOptions::default()
         .with_portfolio_width(request.parallelism().resolve())

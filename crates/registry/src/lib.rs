@@ -25,8 +25,8 @@
 //! races diversified workers; `Serial` requests solve inline with zero
 //! racing overhead and identical costs. Every SAT-based router also honors
 //! the request's [`circuit::SearchStrategy`]: the MaxSAT engine's linear
-//! SAT-UNSAT search (default), the core-guided lower-bounding search, or a
-//! first-proof-wins race of both.
+//! SAT-UNSAT search, the core-guided lower-bounding search, or `Auto`
+//! (the default), which picks one of the two per solver call.
 //!
 //! Two front ends layer over the registry: [`RouteCache`] (memoization +
 //! warm-start session reuse) and [`RouteSupervisor`] (admission control, a
@@ -58,7 +58,7 @@ mod cache;
 pub mod supervisor;
 
 pub use cache::{CacheStats, RouteCache, DEFAULT_OUTCOME_CAPACITY, DEFAULT_SESSION_CAPACITY};
-pub use supervisor::{RoutePolicy, RouteSupervisor, ENCODING_ROUTERS};
+pub use supervisor::{admission_verdict, RoutePolicy, RouteSupervisor};
 
 use circuit::Router;
 use heuristics::{AStar, Sabre, Tket};

@@ -53,9 +53,45 @@ use crate::{Backend, RouterRegistry, UnknownRouter};
 
 /// Registered routers that pay for a SAT/SMT-style encoding before
 /// solving — the ones admission control can meaningfully shed. Heuristic
-/// routers are always admitted: they are the degradation target. Public so
-/// other admission layers (the `routed` daemon) shed by the same rule.
-pub const ENCODING_ROUTERS: &[&str] = &["satmap", "nl-satmap", "cyc-satmap", "olsq", "olsq-tb"];
+/// routers are always admitted: they are the degradation target.
+const ENCODING_ROUTERS: &[&str] = &["satmap", "nl-satmap", "cyc-satmap", "olsq", "olsq-tb"];
+
+/// The admission rule, shared by [`RouteSupervisor`] and the `routed`
+/// daemon's door: only budgeted requests to encoding-based routers (the
+/// SATMAP variants and the OLSQ baselines, by canonical name) can be
+/// shed, and only when
+/// the O(1) size proxy — [`satmap::encoding_estimate`] times the worker
+/// count the dispatch plan would clone the formula across
+/// ([`satmap::planned_width`]) — exceeds `limit`. Costs O(1), so the shed
+/// happens *before* any encode time is spent.
+///
+/// # Errors
+///
+/// [`RouteError::Overloaded`] naming the estimate, width, and limit.
+pub fn admission_verdict(
+    canonical: &str,
+    request: &RouteRequest<'_>,
+    limit: usize,
+) -> Result<(), RouteError> {
+    if !ENCODING_ROUTERS.contains(&canonical) || !request.budget().is_limited() {
+        return Ok(());
+    }
+    let swaps_per_gap = request.swaps_per_gap().unwrap_or(1);
+    let estimate = satmap::encoding_estimate(request.circuit(), request.graph(), swaps_per_gap);
+    let width = satmap::planned_width(
+        request.circuit(),
+        request.graph(),
+        request.parallelism(),
+        swaps_per_gap,
+    );
+    if estimate.saturating_mul(width) > limit {
+        return Err(RouteError::Overloaded(format!(
+            "encoding estimate {estimate} x planned width {width} exceeds \
+             the admission limit {limit}"
+        )));
+    }
+    Ok(())
+}
 
 /// Retry, escalation, and degradation knobs of a [`RouteSupervisor`].
 ///
@@ -97,7 +133,7 @@ pub struct RoutePolicy {
     pub admission_limit: usize,
     /// Whether retries may widen the worker plan: a `Serial` request whose
     /// first attempt failed retries under `Parallelism::Auto`, letting the
-    /// dispatcher race a heterogeneous portfolio at the escalated budget.
+    /// dispatcher size a portfolio race at the escalated budget.
     /// Parallelism is excluded from the request fingerprint, so the
     /// widened retry still warm-starts from the failed attempt's session.
     pub escalate_plan: bool,
@@ -218,30 +254,10 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
         .with_attempts(attempts)
     }
 
-    /// Admission check: predicted encoding size of a budgeted request to
-    /// an encoding-based router, against the policy limit. Costs O(1) —
-    /// the shed happens *before* any encode time is spent.
+    /// Admission check under this supervisor's policy limit (see
+    /// [`admission_verdict`]).
     fn admit(&self, canonical: &'static str, request: &RouteRequest<'_>) -> Result<(), RouteError> {
-        if !ENCODING_ROUTERS.contains(&canonical) || !request.budget().is_limited() {
-            return Ok(());
-        }
-        let swaps_per_gap = request.swaps_per_gap().unwrap_or(1);
-        let estimate = satmap::encoding_estimate(request.circuit(), request.graph(), swaps_per_gap);
-        let width = satmap::planned_width(
-            request.circuit(),
-            request.graph(),
-            request.parallelism(),
-            request.strategy(),
-            swaps_per_gap,
-        );
-        if estimate.saturating_mul(width) > self.policy.admission_limit {
-            return Err(RouteError::Overloaded(format!(
-                "encoding estimate {estimate} x planned width {width} exceeds \
-                 the admission limit {}",
-                self.policy.admission_limit
-            )));
-        }
-        Ok(())
+        admission_verdict(canonical, request, self.policy.admission_limit)
     }
 
     /// The escalation ladder (see the module docs).
@@ -334,9 +350,9 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
     /// unlimited budgets pass through untouched. With
     /// [`RoutePolicy::escalate_plan`], a retry also releases a `Serial`
     /// parallelism hint to `Auto`, so the dispatcher can answer the
-    /// escalated attempt with a wider (possibly heterogeneous) worker
-    /// plan. The strategy knob is never touched: changing it would break
-    /// warm-start session compatibility.
+    /// escalated attempt with a wider worker plan. The strategy knob is
+    /// never touched: changing it would break warm-start session
+    /// compatibility.
     fn escalated_request<'a>(
         &self,
         request: &RouteRequest<'a>,

@@ -70,20 +70,6 @@ pub trait SatBackend: ClauseSink {
         let _ = width;
     }
 
-    /// Assigns this backend a worker-plan role (see
-    /// [`crate::WorkerRole`]): a strategy group in a heterogeneous
-    /// portfolio applies its diversification seed — and, for backends
-    /// that share clauses, an optional sharing override — before
-    /// solving. The default rebases the backend's configuration on the
-    /// role seed via [`SatBackend::configure`], which also gives
-    /// fault-injection wrappers a stable per-role tag to target.
-    fn set_worker_role(&mut self, role: &crate::WorkerRole) {
-        self.configure(&SolverConfig {
-            seed: role.seed,
-            ..SolverConfig::default()
-        });
-    }
-
     /// Attaches this backend to a portfolio clause exchange (or detaches
     /// it with `None`): while attached, the backend may export learned
     /// clauses and import peers'. The default is a no-op, so backends

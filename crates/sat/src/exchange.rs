@@ -61,11 +61,6 @@ pub struct SharingConfig {
     pub capacity: usize,
     /// Maximum clauses imported per drain (one drain per restart).
     pub import_cap: usize,
-    /// When set, only clauses whose variables all lie below this index are
-    /// exchanged. Workers that extend a *shared* formula with their own
-    /// private definitional variables (e.g. the MaxSAT strategies' distinct
-    /// totalizers) race soundly by limiting traffic to the shared prefix.
-    pub var_limit: Option<usize>,
     /// Instances smaller than this (variables + clauses) skip clause
     /// sharing entirely: on small formulas the exchange overhead exceeds
     /// any pruning benefit (`sharing/on` is ~1.4x slower than
@@ -80,7 +75,6 @@ impl Default for SharingConfig {
             max_len: 32,
             capacity: 4096,
             import_cap: 512,
-            var_limit: None,
             min_instance_size: DEFAULT_MIN_INSTANCE_SIZE,
         }
     }
@@ -329,16 +323,11 @@ impl ExchangePort {
     }
 
     /// Offers a learned clause for export. Returns `true` when the clause
-    /// passed the LBD/length/variable filters and was published.
+    /// passed the LBD/length filters and was published.
     pub fn export(&mut self, lits: &[Lit], lbd: u32) -> bool {
         let cfg = &self.config;
         if lits.is_empty() || lits.len() > cfg.max_len || lbd > cfg.lbd_max {
             return false;
-        }
-        if let Some(limit) = cfg.var_limit {
-            if lits.iter().any(|l| l.var().index() >= limit) {
-                return false;
-            }
         }
         // Remember own exports so a peer re-deriving the same clause does
         // not bounce it back in.
@@ -374,13 +363,6 @@ impl ExchangePort {
                 let slot = *cursor;
                 let (lbd, lits) = q.slots[slot].get().expect("slots below len are published");
                 *cursor += 1;
-                if let Some(limit) = config.var_limit {
-                    // Defense in depth: the exporter already filtered, but
-                    // a clause over private variables must never cross.
-                    if lits.iter().any(|l| l.var().index() >= limit) {
-                        continue;
-                    }
-                }
                 if seen.insert(Self::clause_hash(scratch, lits)) {
                     f(lits, *lbd, slot < boundary[peer]);
                     taken += 1;
@@ -479,23 +461,6 @@ mod tests {
         assert_eq!(got, 2, "import_cap bounds one drain");
         b.drain(&mut |_, _, _| got += 1);
         assert_eq!(got, 3, "the cursor resumes at the next drain");
-    }
-
-    #[test]
-    fn var_limit_blocks_private_variables_both_ways() {
-        let cfg = SharingConfig {
-            var_limit: Some(3),
-            ..SharingConfig::default()
-        };
-        let ex = Arc::new(ClauseExchange::new(2, cfg));
-        let mut a = ExchangePort::new(ex.clone(), 0);
-        // Vars 0..3 are shared (dimacs 1..=3); dimacs 4 is private.
-        assert!(a.export(&lits(&[1, -3]), 2));
-        assert!(!a.export(&lits(&[2, 4]), 2), "private var must not export");
-        let mut b = ExchangePort::new(ex, 1);
-        let mut got = Vec::new();
-        b.drain(&mut |c, _, _| got.push(c.to_vec()));
-        assert_eq!(got, vec![lits(&[1, -3])]);
     }
 
     #[test]

@@ -69,9 +69,7 @@ pub use clause::ClauseRef;
 pub use config::{PhaseInit, SolverConfig};
 pub use exchange::{ClauseExchange, ExchangePort, SharingConfig, DEFAULT_MIN_INSTANCE_SIZE};
 pub use lit::{LBool, Lit, Var};
-pub use portfolio::{
-    auto_width, auto_width_for_jobs, PortfolioBackend, WorkerRole, MAX_AUTO_WIDTH,
-};
+pub use portfolio::{auto_width, auto_width_for_jobs, PortfolioBackend, MAX_AUTO_WIDTH};
 pub use solver::{SolveResult, Solver};
 pub use stats::Stats;
 pub use telemetry::SolverTelemetry;

@@ -121,29 +121,6 @@ fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The role a worker slot plays in a heterogeneous worker plan: instead
-/// of assuming N clones of one strategy, each strategy *group* of the
-/// plan carries its own diversification seed (and optionally its own
-/// sharing thresholds) so groups are distinguishable — by the
-/// diversified presets they derive, by fault-injection tags, and in
-/// diagnostics.
-///
-/// Applied through [`crate::SatBackend::set_worker_role`]; the default
-/// implementation folds the seed into the backend's configuration, and
-/// [`PortfolioBackend`] additionally installs the sharing override.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct WorkerRole {
-    /// Stable label of the group (e.g. `"linear"`, `"core-guided"`) for
-    /// diagnostics.
-    pub label: &'static str,
-    /// Diversification seed the group's workers derive their presets
-    /// from (seed 0 keeps the historical base configuration).
-    pub seed: u64,
-    /// Sharing thresholds for the group's internal exchange; `None`
-    /// keeps the backend's current configuration.
-    pub sharing: Option<SharingConfig>,
-}
-
 /// A portfolio of diversified [`SatBackend`] workers racing — and sharing
 /// learned clauses — per call.
 ///
@@ -188,12 +165,6 @@ pub struct PortfolioBackend<B: SatBackend = DefaultBackend> {
     /// width change), and the worker ports taken back after each race.
     exchange: Option<Arc<ClauseExchange>>,
     ports: Vec<ExchangePort>,
-    /// A port handed to this portfolio from the *outside* (e.g. the MaxSAT
-    /// strategy race wiring two backends together). Attached to the
-    /// primary around width-1 solves; parked while an internal race runs,
-    /// since a worker can hold only one port and the internal exchange
-    /// takes precedence.
-    external: Option<ExchangePort>,
     /// Per-worker counters merged after every race, plus the last winner.
     merged: Stats,
     /// Index of the worker whose model/core answer the accessors serve.
@@ -236,7 +207,6 @@ impl<B: SatBackend + Default> PortfolioBackend<B> {
             adapt_mark: (0, 0),
             exchange: None,
             ports: Vec::new(),
-            external: None,
             merged: Stats::default(),
             winner: 0,
             wins: vec![0; width],
@@ -532,29 +502,6 @@ impl<B: SatBackend + Send + Default + Clone> SatBackend for PortfolioBackend<B> 
         self.peers_synced = false;
     }
 
-    fn set_worker_role(&mut self, role: &WorkerRole) {
-        // Rebase only the seed: the caller's other configuration knobs
-        // (restart/polarity/phase presets) survive the role assignment,
-        // and a zero seed leaves the historical base behaviour
-        // bit-identical.
-        let config = SolverConfig {
-            seed: role.seed,
-            ..self.base_config
-        };
-        self.configure(&config);
-        if let Some(sharing) = role.sharing {
-            self.set_sharing_config(sharing);
-        }
-    }
-
-    fn set_clause_exchange(&mut self, port: Option<ExchangePort>) {
-        self.external = port;
-    }
-
-    fn take_clause_exchange(&mut self) -> Option<ExchangePort> {
-        self.external.take()
-    }
-
     fn set_portfolio_width(&mut self, width: usize) {
         let width = width.max(1);
         if width == self.width {
@@ -616,7 +563,6 @@ impl<B: SatBackend + Send + Default + Clone> SatBackend for PortfolioBackend<B> 
             adapt_mark: self.adapt_mark,
             exchange: None,
             ports: Vec::new(),
-            external: None,
             merged,
             winner: 0,
             wins: vec![0; self.width],
@@ -647,14 +593,9 @@ impl<B: SatBackend + Send + Default + Clone> SatBackend for PortfolioBackend<B> 
         }
 
         // Width 1: no race to run — solve inline on the calling thread.
-        // An externally provided port (a strategy race wiring backends
-        // together) rides on the primary for the call, cursors preserved.
         // The panic guard degrades a crashing worker to `Unknown` and
         // poisons the portfolio (there is no peer to promote).
         if self.width == 1 {
-            if let Some(port) = self.external.take() {
-                self.primary.set_clause_exchange(Some(port));
-            }
             let primary = &mut self.primary;
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 primary.solve_under_assumptions(assumptions, budget)
@@ -662,11 +603,9 @@ impl<B: SatBackend + Send + Default + Clone> SatBackend for PortfolioBackend<B> 
             let Ok(result) = outcome else {
                 self.retired.worker_panics += 1;
                 self.poisoned = true;
-                self.external = None;
                 self.refresh_stats(None);
                 return SolveResult::Unknown;
             };
-            self.external = self.primary.take_clause_exchange();
             if matches!(result, SolveResult::Sat | SolveResult::Unsat) {
                 self.winner = 0;
                 self.wins[0] += 1;
@@ -1013,41 +952,6 @@ mod tests {
             p.solve_under_assumptions(&[s], &unlimited),
             SolveResult::Sat
         );
-    }
-
-    #[test]
-    fn external_port_rides_on_width_one_portfolios() {
-        // Two width-1 portfolios wired together from the outside (the
-        // MaxSAT strategy race's shape): lemmas must flow between them
-        // through the externally provided exchange.
-        use crate::exchange::{ClauseExchange, ExchangePort};
-        let exchange = Arc::new(ClauseExchange::new(2, SharingConfig::default()));
-        let mut exporter = Portfolio::with_width(1);
-        pigeonhole(&mut exporter, 5, 4);
-        exporter.set_clause_exchange(Some(ExchangePort::new(exchange.clone(), 0)));
-        assert_eq!(
-            exporter.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
-            SolveResult::Unsat
-        );
-        assert!(
-            exporter.stats().clauses_exported > 0,
-            "width-1 portfolio must export through the external port: {}",
-            exporter.stats()
-        );
-        let mut importer = Portfolio::with_width(1);
-        pigeonhole(&mut importer, 5, 4);
-        importer.set_clause_exchange(Some(ExchangePort::new(exchange, 1)));
-        assert_eq!(
-            importer.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
-            SolveResult::Unsat
-        );
-        assert!(
-            importer.stats().clauses_imported > 0,
-            "width-1 portfolio must import through the external port: {}",
-            importer.stats()
-        );
-        // The port survives the call and can be taken back, cursors intact.
-        assert!(importer.take_clause_exchange().is_some());
     }
 
     #[test]

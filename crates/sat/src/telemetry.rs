@@ -53,17 +53,11 @@ pub struct SolverTelemetry {
     /// recent definitive answer (`None` for single-threaded backends).
     pub winning_worker: Option<u32>,
     /// MaxSAT engine only: name of the search strategy that produced the
-    /// answer (for a strategy race, the winner). `None` outside MaxSAT.
+    /// answer. `None` outside MaxSAT.
     pub strategy: Option<&'static str>,
     /// Total worker count the instance-feature dispatcher resolved for
     /// this call (0 when no dispatch decision was made, e.g. plain SAT).
     pub dispatch_width: u32,
-    /// Strategy mix of the dispatched worker plan (`"linear"`,
-    /// `"core-guided"`, or `"linear+core-guided"`); `None` outside the
-    /// dispatched MaxSAT path.
-    pub dispatch_mix: Option<&'static str>,
-    /// Whether the dispatched plan enabled clause sharing.
-    pub dispatch_sharing: bool,
     /// The instance-hardness signal (vars + hard clauses, or the encoding
     /// estimate pre-encode) the dispatcher sized the plan from.
     pub dispatch_hardness: u64,
@@ -127,10 +121,6 @@ impl SolverTelemetry {
         // tree (retries re-dispatch; the sliced loop dispatches per
         // slice — the peak width is what capacity planning needs).
         self.dispatch_width = self.dispatch_width.max(child.dispatch_width);
-        if child.dispatch_mix.is_some() {
-            self.dispatch_mix = child.dispatch_mix;
-        }
-        self.dispatch_sharing |= child.dispatch_sharing;
         self.dispatch_hardness = self.dispatch_hardness.max(child.dispatch_hardness);
         self.strata = self.strata.max(child.strata);
         self.exhaustion_steps += child.exhaustion_steps;
@@ -165,12 +155,8 @@ impl std::fmt::Display for SolverTelemetry {
         if let Some(s) = self.strategy {
             write!(f, " strategy={s}")?;
         }
-        if let Some(mix) = self.dispatch_mix {
-            write!(
-                f,
-                " dispatch={mix}x{} sharing={}",
-                self.dispatch_width, self.dispatch_sharing
-            )?;
+        if self.dispatch_width > 0 {
+            write!(f, " dispatch=x{}", self.dispatch_width)?;
         }
         if self.strata > 0 {
             write!(
@@ -290,27 +276,21 @@ mod tests {
     fn absorb_keeps_the_peak_dispatch_decision() {
         let mut parent = SolverTelemetry {
             dispatch_width: 1,
-            dispatch_mix: Some("linear"),
             dispatch_hardness: 100,
             ..SolverTelemetry::new()
         };
         parent.absorb(&SolverTelemetry {
             dispatch_width: 4,
-            dispatch_mix: Some("linear+core-guided"),
-            dispatch_sharing: true,
             dispatch_hardness: 9000,
             ..SolverTelemetry::new()
         });
         assert_eq!(parent.dispatch_width, 4, "peak width wins");
-        assert_eq!(parent.dispatch_mix, Some("linear+core-guided"));
-        assert!(parent.dispatch_sharing);
         assert_eq!(parent.dispatch_hardness, 9000);
         parent.absorb(&SolverTelemetry::new());
         assert_eq!(
-            parent.dispatch_mix,
-            Some("linear+core-guided"),
+            parent.dispatch_width, 4,
             "an empty child does not erase the decision"
         );
-        assert!(parent.to_string().contains("dispatch=linear+core-guidedx4"));
+        assert!(parent.to_string().contains("dispatch=x4"));
     }
 }

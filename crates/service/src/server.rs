@@ -25,12 +25,11 @@
 //!
 //! A `route` line is admitted, rejected, or shed *before* any encode or
 //! solve work, in O(request size): unknown routers and impossible
-//! circuits bounce as `InvalidRequest`; budgeted requests to
-//! encoding-based routers ([`routers::ENCODING_ROUTERS`]) whose
-//! [`satmap::encoding_estimate`] — multiplied by the worker count the
-//! dispatch plan would clone the formula across
-//! ([`satmap::planned_width`]) — exceeds the policy's admission limit are
-//! shed as [`RouteError::Overloaded`], as is everything when the work
+//! circuits bounce as `InvalidRequest`; requests that fail the
+//! supervisor's admission rule ([`routers::admission_verdict`]: a
+//! budgeted encoding-based route whose size estimate times its planned
+//! worker count exceeds the policy's admission limit) are shed as
+//! [`RouteError::Overloaded`], as is everything when the work
 //! queue is full or the daemon is draining. Shedding at the door is the
 //! service-level choice: under overload the daemon answers cheaply and
 //! keeps latency bounded instead of queueing heuristic-degraded answers.
@@ -95,7 +94,7 @@ impl Default for DaemonConfig {
 
 /// Sizes the worker pool: the machine's cores divided by the widest
 /// worker plan the dispatcher can resolve under the expected per-request
-/// hint ([`satmap::plan_ceiling`]) — a request racing a width-4 plan
+/// hint ([`satmap::plan_ceiling`]) — a request racing a width-4 portfolio
 /// already owns 4 cores. The dispatcher only narrows from that ceiling
 /// as instances get easier, so the pool never oversubscribes. Clamped to
 /// at least 1.
@@ -103,7 +102,7 @@ pub fn worker_pool_width(per_request_hint: Parallelism) -> usize {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let per_request = satmap::plan_ceiling(per_request_hint, circuit::SearchStrategy::default());
+    let per_request = satmap::plan_ceiling(per_request_hint);
     (cores / per_request.max(1)).max(1)
 }
 
@@ -356,18 +355,21 @@ fn handle_route<B: SatBackend + Default + Send + 'static>(
 
     // Door checks, all O(request size): router name, request validity,
     // predicted encoding size. No solver work has been paid for yet.
-    if let Err(unknown) = shared.cache.registry().canonical(&command.router) {
-        shared.stats.route_rejected();
-        write_line(
-            writer,
-            &door_row(
-                &command.router,
-                id,
-                RouteError::InvalidRequest(unknown.to_string()),
-            ),
-        );
-        return;
-    }
+    let canonical = match shared.cache.registry().canonical(&command.router) {
+        Ok(canonical) => canonical,
+        Err(unknown) => {
+            shared.stats.route_rejected();
+            write_line(
+                writer,
+                &door_row(
+                    &command.router,
+                    id,
+                    RouteError::InvalidRequest(unknown.to_string()),
+                ),
+            );
+            return;
+        }
+    };
     let request = RouteRequest::with_spec(&command.circuit, &command.graph, command.spec.clone());
     if let Err(e) = request.validate() {
         shared.stats.route_rejected();
@@ -386,12 +388,10 @@ fn handle_route<B: SatBackend + Default + Send + 'static>(
         );
         return;
     }
-    if let Some(why) = admission_verdict(shared, &command) {
+    let limit = shared.supervisor.policy().admission_limit;
+    if let Err(shed) = routers::admission_verdict(canonical, &request, limit) {
         shared.stats.route_shed();
-        write_line(
-            writer,
-            &door_row(&command.router, id, RouteError::Overloaded(why)),
-        );
+        write_line(writer, &door_row(&command.router, id, shed));
         return;
     }
     drop(request);
@@ -430,36 +430,6 @@ fn handle_route<B: SatBackend + Default + Send + 'static>(
             }
         }
     }
-}
-
-/// The admission estimate, mirroring the supervisor's rule: only
-/// budgeted requests to encoding-based routers can be shed, and only
-/// when the O(1) size proxy — the encoding estimate times the worker
-/// count the dispatch plan would clone it across — would blow the limit.
-fn admission_verdict<B: SatBackend + Default + Send + 'static>(
-    shared: &Shared<B>,
-    command: &RouteCommand,
-) -> Option<String> {
-    let canonical = shared.cache.registry().canonical(&command.router).ok()?;
-    if !routers::ENCODING_ROUTERS.contains(&canonical) || !command.spec.budget.is_limited() {
-        return None;
-    }
-    let swaps_per_gap = command.spec.swaps_per_gap.unwrap_or(1);
-    let estimate = satmap::encoding_estimate(&command.circuit, &command.graph, swaps_per_gap);
-    let width = satmap::planned_width(
-        &command.circuit,
-        &command.graph,
-        command.spec.parallelism,
-        command.spec.strategy,
-        swaps_per_gap,
-    );
-    let limit = shared.supervisor.policy().admission_limit;
-    (estimate.saturating_mul(width) > limit).then(|| {
-        format!(
-            "encoding estimate {estimate} x planned width {width} exceeds \
-             the admission limit {limit}"
-        )
-    })
 }
 
 fn worker_loop<B: SatBackend + Default + Send + 'static>(shared: &Arc<Shared<B>>) {

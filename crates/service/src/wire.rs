@@ -736,9 +736,8 @@ fn parse_strategy(v: &JsonValue) -> Result<SearchStrategy, WireError> {
         Some((_, Some("auto"))) => Ok(SearchStrategy::Auto),
         Some((_, Some("linear"))) => Ok(SearchStrategy::Linear),
         Some((_, Some("core-guided"))) => Ok(SearchStrategy::CoreGuided),
-        Some((_, Some("race"))) => Ok(SearchStrategy::Race),
         Some(_) => Err(WireError::new(
-            "'strategy' must be \"auto\", \"linear\", \"core-guided\", or \"race\"",
+            "'strategy' must be \"auto\", \"linear\", or \"core-guided\"",
         )),
     }
 }
@@ -920,6 +919,15 @@ mod tests {
         assert_eq!(parse_json("-1").unwrap().as_u64(), None);
     }
 
+    /// Asserts that `line` is rejected for its strategy with an error
+    /// listing every accepted strategy name.
+    fn assert_strategy_rejected(line: &str) {
+        let err = parse_request(line).unwrap_err().to_string();
+        for name in ["\"auto\"", "\"linear\"", "\"core-guided\""] {
+            assert!(err.contains(name), "{line} -> {err}");
+        }
+    }
+
     #[test]
     fn route_line_round_trips() {
         let mut c = Circuit::new(3);
@@ -932,7 +940,7 @@ mod tests {
             &c,
             &[
                 ("budget_ms", "2000".into()),
-                ("strategy", "\"race\"".into()),
+                ("strategy", "\"core-guided\"".into()),
             ],
         );
         let cmd = match parse_request(&line).unwrap() {
@@ -944,11 +952,18 @@ mod tests {
         assert_eq!(cmd.circuit.gates(), c.gates());
         assert_eq!(cmd.circuit.num_qubits(), 3);
         assert_eq!(cmd.graph.num_qubits(), 3);
-        assert_eq!(cmd.spec.strategy, SearchStrategy::Race);
+        assert_eq!(cmd.spec.strategy, SearchStrategy::CoreGuided);
         assert_eq!(
             cmd.spec.budget.remaining_time(),
             Some(Duration::from_millis(2000))
         );
+        // "race" is not a strategy name.
+        assert_strategy_rejected(&route_line(
+            "satmap",
+            "linear:3",
+            &c,
+            &[("strategy", "\"race\"".into())],
+        ));
     }
 
     #[test]
@@ -1019,7 +1034,10 @@ mod tests {
             "satmap",
             "linear:3",
             src,
-            &[("strategy", "\"race\"".into()), ("budget_ms", "500".into())],
+            &[
+                ("strategy", "\"core-guided\"".into()),
+                ("budget_ms", "500".into()),
+            ],
         );
         let cmd = match parse_request(&line).unwrap() {
             Request::Route(cmd) => cmd,
@@ -1028,10 +1046,16 @@ mod tests {
         assert_eq!(cmd.router, "satmap");
         assert_eq!(cmd.circuit.num_qubits(), 3);
         assert_eq!(cmd.circuit.gates().len(), 3);
-        assert_eq!(cmd.spec.strategy, SearchStrategy::Race);
+        assert_eq!(cmd.spec.strategy, SearchStrategy::CoreGuided);
         // The same program decodes to the same gates as the gate-array wire form.
         let direct = circuit::qasm::parse(src).unwrap();
         assert_eq!(cmd.circuit.gates(), direct.gates());
+        assert_strategy_rejected(&qasm_route_line(
+            "satmap",
+            "linear:3",
+            src,
+            &[("strategy", "\"race\"".into())],
+        ));
     }
 
     #[test]

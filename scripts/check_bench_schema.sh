@@ -21,18 +21,18 @@ done
 
 # Telemetry fields: in the sharing probe and in every route row. The
 # strategy-engine fields (strategy, useful_imports, cross_call_imports)
-# came with the strategy-racing MaxSAT engine; the warm-start fields
+# came with the pluggable-strategy MaxSAT engine; the warm-start fields
 # (cache_hit, warm_start, reused_clauses) with the route cache; the
 # resilience fields (quality, attempts, worker_panics) with the routing
 # supervisor; request_id (per-row tracing id) with the routing service;
-# the dispatch fields (dispatch_width, dispatch_mix, dispatch_sharing,
-# dispatch_hardness) with the adaptive dispatcher; the weighted-core
+# the dispatch fields (dispatch_width, dispatch_hardness) with the
+# adaptive dispatcher; the weighted-core
 # fields (strata, exhaustion_steps, hardened_softs) with the
 # weight-stratified core-guided search.
 for key in clauses_exported clauses_imported useful_imports cross_call_imports \
            compactions arena_bytes strategy cache_hit warm_start reused_clauses \
            quality attempts worker_panics request_id \
-           dispatch_width dispatch_mix dispatch_sharing dispatch_hardness \
+           dispatch_width dispatch_hardness \
            strata exhaustion_steps hardened_softs; do
     grep -q "\"$key\"" "$report" || fail "missing telemetry field \"$key\""
 done
@@ -40,7 +40,6 @@ done
 # The criterion groups must have produced medians.
 for group in '"sharing/on"' '"sharing/off"' '"arena/clone"' '"arena/reemit"' \
              '"maxsat_strategies/linear"' '"maxsat_strategies/core-guided"' \
-             '"maxsat_strategies/race"' \
              '"weighted_core/stratified"' '"weighted_core/plain"' \
              '"weighted_core/linear"' \
              '"warmstart/cold"' '"warmstart/warm"' '"warmstart/cache-hit"' \

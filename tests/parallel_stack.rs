@@ -40,71 +40,78 @@ fn small_workloads() -> Vec<(String, Circuit)> {
 #[test]
 fn portfolio_routing_costs_match_serial_requests() {
     // The same registry router serves a serial and a 4-wide-portfolio
-    // request; both solve to optimality (unlimited budget), so the SWAP
-    // counts must be identical: the portfolio changes the wall-clock route
-    // to the optimum, never the optimum itself.
-    let graph = arch::devices::tokyo_minus();
-    let router = RouterRegistry::standard()
-        .create("nl-satmap")
-        .expect("registered");
-    for (name, circuit) in small_workloads() {
-        let serial = router
-            .route_request(
-                &RouteRequest::new(&circuit, &graph).with_parallelism(Parallelism::Serial),
-            )
-            .into_result()
-            .unwrap_or_else(|e| panic!("{name}: serial failed: {e}"));
-        let wide = router
-            .route_request(
-                &RouteRequest::new(&circuit, &graph).with_parallelism(Parallelism::Width(4)),
-            )
-            .into_result()
-            .unwrap_or_else(|e| panic!("{name}: portfolio failed: {e}"));
-        verify(&circuit, &graph, &wide).unwrap_or_else(|e| panic!("{name}: unverified: {e}"));
-        assert_eq!(
-            serial.added_gates(),
-            wide.added_gates(),
-            "{name}: portfolio must reproduce the optimal cost"
-        );
+    // request. Monolithic routes solve to optimality (unlimited budget),
+    // so the SWAP counts must be identical: the portfolio changes the
+    // wall-clock route to the optimum, never the optimum itself. Sliced
+    // routes pin each slice to the previous slice's final map, and a
+    // slice's optimum is rarely unique — so they solve every slice on one
+    // worker whatever the request asks, and must match serial too.
+    let inputs = [
+        (
+            "nl-satmap",
+            arch::devices::tokyo_minus(),
+            Slicing::RouterDefault,
+        ),
+        ("satmap", arch::devices::tokyo(), Slicing::Sliced(4)),
+    ];
+    for (router_name, graph, slicing) in inputs {
+        let router = RouterRegistry::standard()
+            .create(router_name)
+            .expect("registered");
+        for (name, circuit) in small_workloads() {
+            let name = format!("{router_name}/{name}");
+            let request = RouteRequest::new(&circuit, &graph).with_slicing(slicing);
+            let serial = router
+                .route_request(&request.clone().with_parallelism(Parallelism::Serial))
+                .into_result()
+                .unwrap_or_else(|e| panic!("{name}: serial failed: {e}"));
+            let wide = router
+                .route_request(&request.with_parallelism(Parallelism::Width(4)))
+                .into_result()
+                .unwrap_or_else(|e| panic!("{name}: portfolio failed: {e}"));
+            verify(&circuit, &graph, &wide).unwrap_or_else(|e| panic!("{name}: unverified: {e}"));
+            assert_eq!(
+                serial.added_gates(),
+                wide.added_gates(),
+                "{name}: portfolio must reproduce the serial cost"
+            );
+        }
     }
 }
 
 #[test]
-fn strategy_race_routing_costs_match_linear_requests() {
-    // The same registry router serves the Fig. 3 suite under the default
-    // linear strategy and under a strategy race; both prove optimality
-    // (unlimited budget), so the SWAP counts must be identical — racing
-    // core-guided against linear changes the route to the optimum, never
-    // the optimum. The race request also reports which strategy won.
+fn core_guided_routing_costs_match_linear_requests() {
+    // The same registry router serves the small workloads under the
+    // linear and the core-guided strategy; both prove optimality
+    // (unlimited budget), so the SWAP counts must be identical — the
+    // strategy changes the route to the optimum, never the optimum. Each
+    // request reports the strategy that ran.
     let graph = arch::devices::tokyo_minus();
     let router = RouterRegistry::standard()
         .create("nl-satmap")
         .expect("registered");
     for (name, circuit) in small_workloads() {
-        let linear = router
-            .route_request(&RouteRequest::new(&circuit, &graph))
+        let [linear, core] = [
+            circuit::SearchStrategy::Linear,
+            circuit::SearchStrategy::CoreGuided,
+        ]
+        .map(|strategy| {
+            router.route_request(&RouteRequest::new(&circuit, &graph).with_strategy(strategy))
+        });
+        assert_eq!(linear.telemetry().strategy, Some("linear-sat-unsat"));
+        assert_eq!(core.telemetry().strategy, Some("core-guided"));
+        assert_eq!(core.diagnostic("strategy"), Some("core-guided"));
+        let linear = linear
             .into_result()
             .unwrap_or_else(|e| panic!("{name}: linear failed: {e}"));
-        let race_outcome = router.route_request(
-            &RouteRequest::new(&circuit, &graph).with_strategy(circuit::SearchStrategy::Race),
-        );
-        assert_eq!(race_outcome.diagnostic("strategy"), Some("race"));
-        let winner = race_outcome
-            .telemetry()
-            .strategy
-            .unwrap_or_else(|| panic!("{name}: race must report its winning strategy"));
-        assert!(
-            winner == "linear-sat-unsat" || winner == "core-guided",
-            "{name}: unexpected winner {winner}"
-        );
-        let raced = race_outcome
+        let core = core
             .into_result()
-            .unwrap_or_else(|e| panic!("{name}: race failed: {e}"));
-        verify(&circuit, &graph, &raced).unwrap_or_else(|e| panic!("{name}: unverified: {e}"));
+            .unwrap_or_else(|e| panic!("{name}: core-guided failed: {e}"));
+        verify(&circuit, &graph, &core).unwrap_or_else(|e| panic!("{name}: unverified: {e}"));
         assert_eq!(
             linear.added_gates(),
-            raced.added_gates(),
-            "{name}: the strategy race must reproduce the optimal cost"
+            core.added_gates(),
+            "{name}: core-guided search must reproduce the optimal cost"
         );
     }
 }
@@ -151,11 +158,11 @@ fn portfolio_telemetry_reports_winner_through_the_stack() {
 
 #[test]
 fn auto_race_on_fig3_dispatches_one_linear_worker_without_sharing() {
-    // Dispatch regression: a fig3-sized request under the widest hints
-    // (`Auto` parallelism, `Race` strategy) must still resolve to a
-    // width-1 linear plan with sharing off — the bench data says the
-    // parallel machinery loses on instances this small, and the decision
-    // must be visible in telemetry and the JSON row.
+    // Dispatch regression: a fig3-sized request under the `Auto` hints
+    // (parallelism and strategy) must resolve to a width-1 linear plan
+    // that exchanges no clauses — the bench data says the parallel
+    // machinery loses on instances this small, and the decision must be
+    // visible in telemetry and the JSON row.
     let graph = arch::devices::tokyo_minus();
     let router = RouterRegistry::standard()
         .create("nl-satmap")
@@ -164,15 +171,19 @@ fn auto_race_on_fig3_dispatches_one_linear_worker_without_sharing() {
     let outcome = router.route_request(
         &RouteRequest::new(&circuit, &graph)
             .with_parallelism(Parallelism::Auto)
-            .with_strategy(circuit::SearchStrategy::Race),
+            .with_strategy(circuit::SearchStrategy::Auto),
     );
     let routed = outcome.routed().expect("solves");
     verify(&circuit, &graph, routed).expect("verifies");
     assert_eq!(routed.swap_count(), 1, "fig3 optimum");
     let t = outcome.telemetry();
     assert_eq!(t.dispatch_width, 1, "small instances stay width 1");
-    assert_eq!(t.dispatch_mix, Some("linear"), "the race degenerates");
-    assert!(!t.dispatch_sharing, "no exchange for a lone worker");
+    assert_eq!(t.strategy, Some("linear-sat-unsat"), "unweighted: linear");
+    assert_eq!(
+        (t.clauses_exported, t.clauses_imported),
+        (0, 0),
+        "no exchange for a lone worker"
+    );
     assert!(
         t.dispatch_hardness > 0 && t.dispatch_hardness < maxsat::dispatch::SMALL_INSTANCE,
         "fig3 sits below the small-instance gate, got {}",
@@ -180,8 +191,7 @@ fn auto_race_on_fig3_dispatches_one_linear_worker_without_sharing() {
     );
     let row = outcome.to_json();
     assert!(row.contains("\"dispatch_width\":1"), "{row}");
-    assert!(row.contains("\"dispatch_mix\":\"linear\""), "{row}");
-    assert!(row.contains("\"dispatch_sharing\":false"), "{row}");
+    assert!(row.contains("\"strategy\":\"linear-sat-unsat\""), "{row}");
 }
 
 /// Hard pigeonhole clauses: would run far longer than any test timeout.

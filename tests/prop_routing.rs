@@ -111,7 +111,7 @@ proptest! {
         c in circuit_strategy(4, 6),
         weighted in prop::bool::ANY,
     ) {
-        // The adaptive dispatcher (Auto width, Race strategy) may pick any
+        // The adaptive dispatcher (Auto width, Auto strategy) may pick any
         // worker plan, but both requests prove optimality under an
         // unlimited budget, so the objective value must match a forced
         // serial linear solve exactly — weighted and unweighted alike.
@@ -126,7 +126,7 @@ proptest! {
             &RouteRequest::new(&c, &graph)
                 .with_objective(objective.clone())
                 .with_parallelism(Parallelism::Auto)
-                .with_strategy(SearchStrategy::Race),
+                .with_strategy(SearchStrategy::Auto),
         );
         let forced = router.route_request(
             &RouteRequest::new(&c, &graph)
