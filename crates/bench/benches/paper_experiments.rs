@@ -17,10 +17,7 @@ use circuit::{
 };
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use routers::{BoxedRouter, RouterRegistry};
-use sat::{
-    ClauseSink, Lit, PortfolioBackend, ResourceBudget, SatBackend, SharingConfig, SolveResult,
-    Solver,
-};
+use sat::{ClauseSink, Lit, PortfolioBackend, ResourceBudget, SatBackend, SolveResult, Solver};
 
 fn create(name: &str) -> BoxedRouter {
     RouterRegistry::standard()
@@ -263,7 +260,7 @@ fn portfolio_race(c: &mut Criterion) {
 /// worker converges on the same conflicts unaided, the per-restart drain
 /// overhead exceeds what the imports prune and `on` came out ~1.4x
 /// *slower* — which is exactly the regime the default
-/// `SharingConfig::min_instance_size` gate exists to skip.
+/// `PortfolioBackend::set_sharing_min_instance_size` gate exists to skip.
 /// `BENCH_satmap.json` records both medians.
 fn sharing_race(c: &mut Criterion) {
     let mut group = c.benchmark_group("sharing");
@@ -274,10 +271,7 @@ fn sharing_race(c: &mut Criterion) {
         p.set_sharing(sharing);
         // The camouflaged family still sits below the conservative default
         // size gate; this group measures the exchange itself, so open it.
-        p.set_sharing_config(SharingConfig {
-            min_instance_size: 0,
-            ..SharingConfig::default()
-        });
+        p.set_sharing_min_instance_size(0);
         p.reserve_vars(num_vars);
         for clause in &cnf {
             let lits: Vec<Lit> = clause.iter().map(|&d| Lit::from_dimacs(d)).collect();

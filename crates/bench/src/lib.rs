@@ -207,14 +207,11 @@ pub struct SharingProbe {
 /// CI schema check asserts it — because PHP(7,6) forces every worker
 /// through many restarts, each an import point.
 pub fn sharing_probe() -> SharingProbe {
-    use sat::{PortfolioBackend, ResourceBudget, SatBackend, SharingConfig, SolveResult, Solver};
+    use sat::{PortfolioBackend, ResourceBudget, SatBackend, SolveResult, Solver};
     let mut portfolio = PortfolioBackend::<Solver>::with_width(4);
-    // PHP(7,6) sits far below the default `min_instance_size` gate; the
-    // probe exists to witness cooperation, so open the gate explicitly.
-    portfolio.set_sharing_config(SharingConfig {
-        min_instance_size: 0,
-        ..SharingConfig::default()
-    });
+    // PHP(7,6) sits far below the default sharing size gate; the probe
+    // exists to witness cooperation, so open the gate explicitly.
+    portfolio.set_sharing_min_instance_size(0);
     portfolio.reserve_vars(7 * 6);
     for clause in pigeonhole_cnf(7, 6) {
         let lits: Vec<sat::Lit> = clause.iter().map(|&d| sat::Lit::from_dimacs(d)).collect();

@@ -808,8 +808,6 @@ impl RouteOutcome {
         out.push_str(&format!(",\"db_reductions\":{}", t.db_reductions));
         out.push_str(&format!(",\"clauses_exported\":{}", t.clauses_exported));
         out.push_str(&format!(",\"clauses_imported\":{}", t.clauses_imported));
-        out.push_str(&format!(",\"useful_imports\":{}", t.useful_imports));
-        out.push_str(&format!(",\"cross_call_imports\":{}", t.cross_call_imports));
         out.push_str(&format!(",\"compactions\":{}", t.compactions));
         out.push_str(&format!(",\"arena_bytes\":{}", t.arena_bytes));
         match t.request_id {

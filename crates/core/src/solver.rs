@@ -103,20 +103,19 @@ pub(crate) fn instance_features(enc: &QmrEncoding) -> maxsat::InstanceFeatures {
 
 /// The total worker count the instance-feature dispatcher would resolve
 /// for `circuit` on `graph` *before* any encoding is built: the features
-/// carry only the O(1) signals (device size and [`encoding_estimate`]),
-/// so admission control can price a request's parallelism without paying
-/// the encode cost. The post-encode dispatch re-decides from the exact
-/// counts, but never exceeds a forced hint, so this is a safe multiplier
-/// for capacity planning.
+/// carry only the O(1) [`encoding_estimate`], so admission control can
+/// price a request's parallelism without paying the encode cost. The
+/// post-encode dispatch re-decides from the exact counts, but never
+/// exceeds a forced hint, so this is a safe multiplier for capacity
+/// planning.
 pub fn planned_width(
     circuit: &Circuit,
     graph: &ConnectivityGraph,
     parallelism: circuit::Parallelism,
     swaps_per_gap: usize,
 ) -> usize {
-    let features = maxsat::InstanceFeatures::default()
-        .with_device(graph.num_qubits())
-        .with_encoding_estimate(encoding_estimate(circuit, graph, swaps_per_gap));
+    let estimate = encoding_estimate(circuit, graph, swaps_per_gap);
+    let features = maxsat::InstanceFeatures::default().with_encoding_estimate(estimate);
     maxsat::dispatch::plan(&features, crate::config::width_hint(parallelism)).width
 }
 

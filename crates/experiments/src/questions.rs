@@ -72,8 +72,6 @@ pub fn q1(runtimes: bool) -> String {
         "reductions".into(),
         "exported".into(),
         "imported".into(),
-        "useful".into(),
-        "xcall".into(),
         "compactions".into(),
         "encode(s)".into(),
         "solve(s)".into(),
@@ -91,8 +89,6 @@ pub fn q1(runtimes: bool) -> String {
             t.db_reductions.to_string(),
             t.clauses_exported.to_string(),
             t.clauses_imported.to_string(),
-            t.useful_imports.to_string(),
-            t.cross_call_imports.to_string(),
             t.compactions.to_string(),
             format!("{:.2}", t.encode_time.as_secs_f64()),
             format!("{:.2}", t.solve_time.as_secs_f64()),

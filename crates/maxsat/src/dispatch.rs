@@ -11,17 +11,18 @@
 //! The tiers (measured in variables + hard clauses, or the O(1)
 //! `encoding_estimate` before an encoding exists):
 //!
-//! * **small** (below [`SMALL_INSTANCE`], the same gate as
-//!   [`sat::SharingConfig::min_instance_size`]) — one worker, solved
-//!   inline: the per-call overhead of threads exceeds the whole solve
-//!   time.
+//! * **small** (below [`SMALL_INSTANCE`], the same gate as the
+//!   portfolio's default sharing gate [`sat::DEFAULT_MIN_INSTANCE_SIZE`])
+//!   — one worker, solved inline: the per-call overhead of threads
+//!   exceeds the whole solve time.
 //! * **medium** (below [`MEDIUM_INSTANCE`]) — at most two workers.
 //! * **hard** — the full [`sat::auto_width`] worker budget.
 //!
 //! An explicit width ([`WidthHint::Forced`], from `Parallelism::Serial`
 //! or `Parallelism::Width`) is always honored. Whether the workers share
 //! clauses is the portfolio's own decision
-//! ([`sat::SharingConfig::min_instance_size`]), not the plan's.
+//! ([`sat::PortfolioBackend::set_sharing_min_instance_size`]), not the
+//! plan's.
 
 use crate::wcnf::WcnfInstance;
 
@@ -37,8 +38,8 @@ pub const MEDIUM_INSTANCE: u64 = 4 * SMALL_INSTANCE;
 
 /// Cheap, O(instance-header) features the dispatcher sizes a plan from.
 ///
-/// Either side can be absent: before an encoding exists only the device
-/// size and the O(1) encoding estimate are known; once the WCNF is built,
+/// Either side can be absent: before an encoding exists only the O(1)
+/// encoding estimate is known; once the WCNF is built,
 /// [`InstanceFeatures::of`] reads the exact counts.
 ///
 /// # Examples
@@ -65,8 +66,6 @@ pub struct InstanceFeatures {
     /// Soft clauses whose weight differs from 1 (a weighted objective —
     /// the families where core-guided search pays off most).
     pub weighted_softs: usize,
-    /// Physical qubits of the target device, when routing (0 otherwise).
-    pub device_qubits: usize,
     /// O(1) upper-bound proxy for the encoding size
     /// (`satmap::encoding_estimate`), used as the hardness signal before
     /// any encoding is built.
@@ -85,15 +84,8 @@ impl InstanceFeatures {
                 .iter()
                 .filter(|s| s.weight != 1)
                 .count(),
-            device_qubits: 0,
             encoding_estimate: 0,
         }
-    }
-
-    /// Returns a copy annotated with the target device size.
-    pub fn with_device(mut self, qubits: usize) -> Self {
-        self.device_qubits = qubits;
-        self
     }
 
     /// Returns a copy annotated with the O(1) encoding-size estimate.
@@ -235,9 +227,8 @@ mod tests {
 
     #[test]
     fn hardness_falls_back_to_the_encoding_estimate_before_encoding() {
-        let pre_encode = InstanceFeatures::default()
-            .with_device(20)
-            .with_encoding_estimate(MEDIUM_INSTANCE as usize);
+        let pre_encode =
+            InstanceFeatures::default().with_encoding_estimate(MEDIUM_INSTANCE as usize);
         assert_eq!(pre_encode.hardness(), MEDIUM_INSTANCE);
         let built = features(42).with_encoding_estimate(MEDIUM_INSTANCE as usize);
         assert_eq!(built.hardness(), 42, "exact counts win once built");

@@ -595,8 +595,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
         t.db_reductions = stats.reductions - base.reductions;
         t.clauses_exported = stats.clauses_exported - base.clauses_exported;
         t.clauses_imported = stats.clauses_imported - base.clauses_imported;
-        t.useful_imports = stats.useful_imports - base.useful_imports;
-        t.cross_call_imports = stats.cross_call_imports - base.cross_call_imports;
         t.compactions = stats.compactions - base.compactions;
         t.worker_panics = stats.worker_panics - base.worker_panics;
         // A gauge, not a counter: report the backend's current arena

@@ -78,15 +78,6 @@ pub trait SatBackend: ClauseSink {
         let _ = port;
     }
 
-    /// Detaches and returns the previously attached exchange port, if the
-    /// backend kept one. Ports keep their read cursors and dedup state, so
-    /// re-attaching later resumes the exchange where it left off — the
-    /// hook behind cross-call clause reuse. The default returns `None`
-    /// (matching the default no-op `set_clause_exchange`).
-    fn take_clause_exchange(&mut self) -> Option<ExchangePort> {
-        None
-    }
-
     /// Number of variables created so far.
     fn num_vars(&self) -> usize;
 
@@ -168,10 +159,6 @@ impl SatBackend for Solver {
 
     fn set_clause_exchange(&mut self, port: Option<ExchangePort>) {
         Solver::set_clause_exchange(self, port);
-    }
-
-    fn take_clause_exchange(&mut self) -> Option<ExchangePort> {
-        Solver::take_clause_exchange(self)
     }
 
     fn num_vars(&self) -> usize {

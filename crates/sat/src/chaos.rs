@@ -311,10 +311,6 @@ impl<B: SatBackend> SatBackend for ChaosBackend<B> {
         self.inner.set_clause_exchange(port);
     }
 
-    fn take_clause_exchange(&mut self) -> Option<ExchangePort> {
-        self.inner.take_clause_exchange()
-    }
-
     fn num_vars(&self) -> usize {
         self.inner.num_vars()
     }
@@ -501,21 +497,28 @@ mod tests {
 
     #[test]
     fn dropped_exchange_attachment_only_withholds_imports() {
-        use crate::exchange::{ClauseExchange, SharingConfig};
+        use crate::exchange::ClauseExchange;
         use std::sync::Arc;
-        let exchange = Arc::new(ClauseExchange::new(2, SharingConfig::default()));
-        let mut c = Chaotic::with_plan(FaultPlan::seeded(2).drop_import_prob(1.0));
-        trivially_sat(&mut c);
-        c.set_clause_exchange(Some(ExchangePort::new(exchange, 0)));
-        assert!(
-            c.take_clause_exchange().is_none(),
-            "the attachment must have been dropped"
-        );
-        // The worker still answers correctly without the exchange.
-        assert_eq!(
-            c.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
-            SolveResult::Sat
-        );
+        // A peer has published a clause over the worker's variables: an
+        // attached worker imports it at solve entry, a dropped one cannot.
+        let run = |drop_prob: f64| {
+            let exchange = Arc::new(ClauseExchange::new(2));
+            let mut peer = ExchangePort::new(exchange.clone(), 1);
+            let mut c = Chaotic::with_plan(FaultPlan::seeded(2).drop_import_prob(drop_prob));
+            trivially_sat(&mut c);
+            let x = c.new_var().positive();
+            let y = c.new_var().positive();
+            assert!(peer.export(&[x, y], 2));
+            c.set_clause_exchange(Some(ExchangePort::new(exchange, 0)));
+            // The worker answers correctly either way.
+            assert_eq!(
+                c.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
+                SolveResult::Sat
+            );
+            c.stats().clauses_imported
+        };
+        assert_eq!(run(0.0), 1, "an attached worker imports the peer clause");
+        assert_eq!(run(1.0), 0, "the attachment must have been dropped");
     }
 
     #[test]

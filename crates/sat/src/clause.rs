@@ -5,17 +5,13 @@
 //! clause occupies `HEADER_WORDS + len` consecutive words:
 //!
 //! ```text
-//! word 0   header: bit 0 = deleted, bit 1 = learnt, bit 2 = imported,
-//!          bits 3..12 = LBD (saturating at 511), bits 12..32 = length
+//! word 0   header: bit 0 = deleted, bit 1 = learnt, bit 2 = unused
+//!          (always 0, left free so the fields above it keep their
+//!          offsets), bits 3..12 = LBD (saturating at 511),
+//!          bits 12..32 = length
 //! word 1   activity (f32 bits) — bump-based score for reduction
 //! word 2+  the literals, one packed `Lit` code per word
 //! ```
-//!
-//! The *imported* bit marks clauses that arrived through the portfolio
-//! clause exchange; conflict analysis clears it the first time such a
-//! clause participates in a resolution, which is how the solver measures
-//! import *usefulness* (the signal the adaptive sharing thresholds feed
-//! on).
 //!
 //! Compared to one heap `Vec<Lit>` per clause this cuts allocator traffic
 //! on the learn path to a buffer append, makes cloning a whole formula for
@@ -88,28 +84,21 @@ impl ClauseDb {
     }
 
     #[inline]
-    fn pack_header(len: usize, lbd: u32, learnt: bool, imported: bool, deleted: bool) -> u32 {
+    fn pack_header(len: usize, lbd: u32, learnt: bool, deleted: bool) -> u32 {
         // A hard check, not a debug_assert: a truncated length would
         // silently misalign the compaction walk and corrupt the arena.
         assert!(len <= MAX_LEN, "clause length overflows the header");
-        (len as u32) << 12
-            | lbd.min(MAX_LBD) << 3
-            | u32::from(imported) << 2
-            | u32::from(learnt) << 1
-            | u32::from(deleted)
+        (len as u32) << 12 | lbd.min(MAX_LBD) << 3 | u32::from(learnt) << 1 | u32::from(deleted)
     }
 
-    /// Appends a clause to the arena and returns its reference. `imported`
-    /// marks clauses received through the portfolio clause exchange (see
-    /// [`Self::is_imported`]).
-    pub fn alloc(&mut self, lits: &[Lit], learnt: bool, imported: bool, lbd: u32) -> ClauseRef {
+    /// Appends a clause to the arena and returns its reference.
+    pub fn alloc(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2, "unit/empty clauses are not stored");
         let cref = ClauseRef(self.words.len() as u32);
         self.words.push(Lit::from_code(Self::pack_header(
             lits.len(),
             lbd,
             learnt,
-            imported,
             false,
         )));
         self.words.push(Lit::from_code(0f32.to_bits()));
@@ -148,21 +137,6 @@ impl ClauseDb {
     #[inline]
     pub fn lbd(&self, cref: ClauseRef) -> u32 {
         self.header(cref) >> 3 & MAX_LBD
-    }
-
-    /// True for clauses that arrived through the clause exchange and have
-    /// not yet participated in a conflict.
-    #[inline]
-    pub fn is_imported(&self, cref: ClauseRef) -> bool {
-        self.header(cref) & 0b100 != 0
-    }
-
-    /// Clears the imported mark (called the first time the clause joins a
-    /// resolution, so each import is counted useful at most once).
-    #[inline]
-    pub fn clear_imported(&mut self, cref: ClauseRef) {
-        let header = self.header(cref);
-        self.set_header(cref, header & !0b100);
     }
 
     /// Bump-based activity score used by the reduction policy.
@@ -307,8 +281,8 @@ mod tests {
     #[test]
     fn alloc_get_free() {
         let mut db = ClauseDb::new();
-        let c1 = db.alloc(&lits(&[1, 2]), false, false, 0);
-        let c2 = db.alloc(&lits(&[-1, 3, 4]), true, false, 2);
+        let c1 = db.alloc(&lits(&[1, 2]), false, 0);
+        let c2 = db.alloc(&lits(&[-1, 3, 4]), true, 2);
         assert_eq!(db.len(c1), 2);
         assert_eq!(db.lits(c2), lits(&[-1, 3, 4]).as_slice());
         assert!(db.is_learnt(c2));
@@ -326,8 +300,8 @@ mod tests {
     #[test]
     fn clause_ref_offsets_are_stable_without_compaction() {
         let mut db = ClauseDb::new();
-        let c1 = db.alloc(&lits(&[1, 2]), false, false, 0);
-        let c2 = db.alloc(&lits(&[3, 4]), false, false, 0);
+        let c1 = db.alloc(&lits(&[1, 2]), false, 0);
+        let c2 = db.alloc(&lits(&[3, 4]), false, 0);
         assert_eq!(db.lits(c1)[0], Var::new(0).positive());
         assert_eq!(c1.index(), 0);
         assert_eq!(c2.index(), HEADER_WORDS + 2);
@@ -336,7 +310,7 @@ mod tests {
     #[test]
     fn activity_round_trips_through_the_header() {
         let mut db = ClauseDb::new();
-        let c = db.alloc(&lits(&[1, 2, 3]), true, false, 3);
+        let c = db.alloc(&lits(&[1, 2, 3]), true, 3);
         assert_eq!(db.activity(c), 0.0);
         db.set_activity(c, 1.5e10);
         assert_eq!(db.activity(c), 1.5e10);
@@ -348,7 +322,7 @@ mod tests {
     #[test]
     fn lbd_saturates_at_header_capacity() {
         let mut db = ClauseDb::new();
-        let c = db.alloc(&lits(&[1, 2]), true, false, 5000);
+        let c = db.alloc(&lits(&[1, 2]), true, 5000);
         assert_eq!(db.lbd(c), MAX_LBD);
         assert_eq!(db.len(c), 2);
     }
@@ -356,9 +330,9 @@ mod tests {
     #[test]
     fn compaction_moves_live_clauses_and_remaps() {
         let mut db = ClauseDb::new();
-        let a = db.alloc(&lits(&[1, 2]), false, false, 0);
-        let b = db.alloc(&lits(&[-1, 3, 4]), true, false, 2);
-        let c = db.alloc(&lits(&[2, -3]), true, false, 1);
+        let a = db.alloc(&lits(&[1, 2]), false, 0);
+        let b = db.alloc(&lits(&[-1, 3, 4]), true, 2);
+        let c = db.alloc(&lits(&[2, -3]), true, 1);
         db.set_activity(c, 7.0);
         db.free(b);
         assert!(db.wasted_words() > 0);
@@ -382,7 +356,7 @@ mod tests {
     #[test]
     fn should_compact_needs_both_ratio_and_floor() {
         let mut db = ClauseDb::new();
-        let c = db.alloc(&lits(&[1, 2]), true, true, 1);
+        let c = db.alloc(&lits(&[1, 2]), true, 1);
         db.free(c);
         // 100% dead but far below the absolute floor.
         assert!(!db.should_compact());
@@ -390,7 +364,7 @@ mod tests {
         let clause = lits(&(1..=100).collect::<Vec<i64>>());
         let mut refs = Vec::new();
         for _ in 0..40 {
-            refs.push(big.alloc(&clause, true, false, 9));
+            refs.push(big.alloc(&clause, true, 9));
         }
         for &r in &refs[..20] {
             big.free(r);

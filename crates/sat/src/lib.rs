@@ -15,8 +15,8 @@
 //! * first-UIP conflict analysis with clause minimization,
 //! * Luby restarts and activity/LBD-guided learned-clause reduction,
 //! * portfolio clause sharing: bounded lock-free export channels
-//!   ([`ClauseExchange`]) carry low-LBD learned clauses between racing
-//!   workers, imported at restart boundaries,
+//!   ([`ClauseExchange`], one per race) carry low-LBD learned clauses
+//!   between racing workers, imported at restart boundaries,
 //! * incremental solving under assumptions with UNSAT-core extraction,
 //! * cooperative deadline-based budgets ([`ResourceBudget`]) for anytime
 //!   callers — nested calls inherit and can never overshoot a parent's
@@ -67,7 +67,7 @@ pub use budget::{CancelRegistry, CancelToken, ResourceBudget};
 pub use chaos::{ChaosBackend, FaultPlan};
 pub use clause::ClauseRef;
 pub use config::{PhaseInit, SolverConfig};
-pub use exchange::{ClauseExchange, ExchangePort, SharingConfig, DEFAULT_MIN_INSTANCE_SIZE};
+pub use exchange::{ClauseExchange, ExchangePort, DEFAULT_MIN_INSTANCE_SIZE};
 pub use lit::{LBool, Lit, Var};
 pub use portfolio::{auto_width, auto_width_for_jobs, PortfolioBackend, MAX_AUTO_WIDTH};
 pub use solver::{SolveResult, Solver};

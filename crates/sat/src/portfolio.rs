@@ -16,36 +16,21 @@
 //! caller's budget still tears down every worker, and a worker can never
 //! outlive the budget it descended from.
 //!
-//! During a race the workers *cooperate*: each exports learned clauses
-//! with LBD at or below [`SharingConfig::lbd_max`] into its bounded
-//! lock-free channel of the shared [`ClauseExchange`] and imports its
-//! peers' clauses at restart boundaries (with dedup and per-drain caps).
+//! During a race the workers *cooperate*: each exports low-LBD learned
+//! clauses into its bounded lock-free channel of a [`ClauseExchange`] and
+//! imports its peers' clauses at restart boundaries (with dedup and
+//! per-drain caps; the thresholds are constants of [`crate::exchange`]).
 //! Shared clauses are logical consequences of the common formula, so
 //! answers are unchanged — only the wall-clock route to them shortens.
-//! Sharing is on by default; [`PortfolioBackend::set_sharing`] disables it
-//! and [`PortfolioBackend::set_sharing_config`] tunes the thresholds.
-//! Small formulas skip the exchange entirely: below
-//! [`SharingConfig::min_instance_size`] (variables + clauses) the
-//! per-restart drain overhead costs more than the pruning pays, so the
-//! workers race without cooperating. Set the knob to 0 to share always.
-//!
-//! **The exchange persists across solve calls.** One `ClauseExchange`
-//! lives as long as the portfolio (rotated only on saturation or a width
-//! change), and worker ports are taken back after each race with their
-//! cursors and dedup state intact — so refutation lemmas published during
-//! an earlier call are imported by later calls (`cross-call reuse`,
-//! counted in [`crate::Stats::cross_call_imports`]). This is sound because
-//! the loaded formula only ever grows: a lemma implied by yesterday's
-//! clause set is implied by today's superset. Rebuilt peers resume from
-//! the primary's cursors (their arena clone already contains everything
-//! the primary imported).
-//!
-//! **Sharing thresholds adapt per instance.** The solver marks imported
-//! clauses in the arena and credits the ones that later join a conflict
-//! ([`crate::Stats::useful_imports`]); between races the portfolio feeds
-//! that yield into [`SharingConfig::adapted`], tightening
-//! `lbd_max`/`import_cap` when imports are dead weight and loosening them
-//! when they pay — the throttling scheme of modern portfolio solvers.
+//! The exchange lives for exactly one race: each sharing race builds a
+//! fresh one, hands every worker a fresh [`ExchangePort`], and detaches
+//! and drops them all when the race ends. Sharing is on by default;
+//! [`PortfolioBackend::set_sharing`] disables it. Small formulas skip the
+//! exchange entirely: below
+//! [`PortfolioBackend::set_sharing_min_instance_size`] (variables +
+//! clauses, default [`DEFAULT_MIN_INSTANCE_SIZE`]) the per-restart drain
+//! overhead costs more than the pruning pays, so the workers race without
+//! cooperating. Set the gate to 0 to share always.
 //!
 //! The worker count (*width*) is a runtime value, not a type parameter:
 //! [`PortfolioBackend::with_width`] picks it explicitly (e.g.
@@ -82,7 +67,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::backend::{ClauseSink, DefaultBackend, SatBackend};
 use crate::budget::ResourceBudget;
 use crate::config::SolverConfig;
-use crate::exchange::{ClauseExchange, ExchangePort, SharingConfig};
+use crate::exchange::{ClauseExchange, ExchangePort, DEFAULT_MIN_INSTANCE_SIZE};
 use crate::lit::{Lit, Var};
 use crate::solver::SolveResult;
 use crate::stats::Stats;
@@ -152,19 +137,9 @@ pub struct PortfolioBackend<B: SatBackend = DefaultBackend> {
     base_config: SolverConfig,
     /// Whether workers exchange learned clauses during races.
     sharing_enabled: bool,
-    /// Base thresholds and capacities of the clause exchange (what
-    /// [`PortfolioBackend::set_sharing_config`] installed).
-    sharing: SharingConfig,
-    /// Effective thresholds after per-instance adaptation (reset to
-    /// `sharing` whenever the base config is replaced).
-    tuned: SharingConfig,
-    /// `(clauses_imported, useful_imports)` totals at the last adaptation,
-    /// so each adaptation judges only the traffic since the previous one.
-    adapt_mark: (u64, u64),
-    /// The exchange persisted across races (rotated on saturation or a
-    /// width change), and the worker ports taken back after each race.
-    exchange: Option<Arc<ClauseExchange>>,
-    ports: Vec<ExchangePort>,
+    /// Instances smaller than this (variables + clauses) race without an
+    /// exchange.
+    sharing_min_instance_size: usize,
     /// Per-worker counters merged after every race, plus the last winner.
     merged: Stats,
     /// Index of the worker whose model/core answer the accessors serve.
@@ -202,11 +177,7 @@ impl<B: SatBackend + Default> PortfolioBackend<B> {
             peers_synced: false,
             base_config: SolverConfig::default(),
             sharing_enabled: true,
-            sharing: SharingConfig::default(),
-            tuned: SharingConfig::default(),
-            adapt_mark: (0, 0),
-            exchange: None,
-            ports: Vec::new(),
+            sharing_min_instance_size: DEFAULT_MIN_INSTANCE_SIZE,
             merged: Stats::default(),
             winner: 0,
             wins: vec![0; width],
@@ -250,27 +221,11 @@ impl<B: SatBackend> PortfolioBackend<B> {
         self.sharing_enabled
     }
 
-    /// Replaces the clause-sharing thresholds (LBD/length filters, queue
-    /// capacity, per-restart import cap). Resets any per-instance adaptive
-    /// tuning and retires the current exchange (capacity is baked into its
-    /// queues), so the next race starts fresh under the new config.
-    pub fn set_sharing_config(&mut self, config: SharingConfig) {
-        self.sharing = config;
-        self.tuned = config;
-        self.exchange = None;
-        self.ports.clear();
-    }
-
-    /// The base clause-sharing thresholds (as installed; see
-    /// [`PortfolioBackend::tuned_sharing_config`] for the adapted values).
-    pub fn sharing_config(&self) -> &SharingConfig {
-        &self.sharing
-    }
-
-    /// The thresholds currently in force after per-instance adaptation
-    /// ([`SharingConfig::adapted`] applied to the observed import yield).
-    pub fn tuned_sharing_config(&self) -> &SharingConfig {
-        &self.tuned
+    /// Sets the size gate of clause sharing: races on instances smaller
+    /// than `size` (variables + clauses) skip the exchange. The default is
+    /// [`DEFAULT_MIN_INSTANCE_SIZE`]; 0 shares on every race.
+    pub fn set_sharing_min_instance_size(&mut self, size: usize) {
+        self.sharing_min_instance_size = size;
     }
 
     /// The worker whose model/core the accessors currently serve.
@@ -329,10 +284,6 @@ impl<B: SatBackend> PortfolioBackend<B> {
         decided: Option<(usize, SolveResult)>,
     ) -> Option<(usize, SolveResult)> {
         self.retired.worker_panics += crashed.len() as u64;
-        // Crashed workers may have died holding their exchange port; the
-        // next race starts a fresh exchange rather than guess at cursors.
-        self.ports.clear();
-        self.exchange = None;
         if crashed.contains(&0) {
             let keep = match decided {
                 Some((i, _)) if i > 0 => Some(i),
@@ -389,12 +340,10 @@ impl<B: SatBackend + Default + Clone> PortfolioBackend<B> {
     /// or the width changed since the last race. For the bundled solver
     /// the clone is a flat-buffer `memcpy` per peer — the whole point of
     /// the arena — instead of re-emitting every clause `width - 1` times.
-    /// Returns `true` when the peers were actually rebuilt (their exchange
-    /// ports must then be re-derived from the primary's).
-    fn sync_peers(&mut self) -> bool {
+    fn sync_peers(&mut self) {
         let target = self.width - 1;
         if self.peers_synced && self.peers.len() == target {
-            return false;
+            return;
         }
         // Retire outgoing peers' own effort so merged totals stay
         // monotone (their arena memory is gone, so the gauge resets).
@@ -419,61 +368,6 @@ impl<B: SatBackend + Default + Clone> PortfolioBackend<B> {
             self.peers.push(peer);
         }
         self.peers_synced = true;
-        true
-    }
-
-    /// Ensures a live exchange and one port per worker before a sharing
-    /// race: adapts the thresholds from the import yield observed so far,
-    /// rotates the exchange when it is saturated (or the width changed),
-    /// and re-derives rebuilt peers' ports from the primary's cursors.
-    fn prepare_ports(&mut self, peers_rebuilt: bool) {
-        // Per-instance adaptation: judge the traffic since the last mark.
-        let imported = self.merged.clauses_imported;
-        let useful = self.merged.useful_imports;
-        let (mark_imported, mark_useful) = self.adapt_mark;
-        if imported - mark_imported >= SharingConfig::ADAPT_SAMPLE {
-            self.tuned = self
-                .tuned
-                .adapted(imported - mark_imported, useful - mark_useful);
-            self.adapt_mark = (imported, useful);
-        }
-
-        let rebuild = match &self.exchange {
-            Some(ex) => {
-                ex.num_workers() != self.width
-                    || self.ports.len() != self.width
-                    || ex.is_saturated()
-            }
-            None => true,
-        };
-        if rebuild {
-            let ex = Arc::new(ClauseExchange::new(self.width, self.sharing));
-            // Keep the primary's dedup knowledge across the rotation so
-            // already-imported clauses are not taken twice.
-            let template = self.ports.first().cloned();
-            self.ports = (0..self.width)
-                .map(|i| match &template {
-                    Some(t) => t.rebind(ex.clone(), i),
-                    None => ExchangePort::new(ex.clone(), i),
-                })
-                .collect();
-            self.exchange = Some(ex);
-        } else if peers_rebuilt {
-            // Rebuilt peers are clones of the primary: they already hold
-            // everything it imported, so they resume from its cursors.
-            let primary_port = self.ports[0].clone();
-            for i in 1..self.width {
-                self.ports[i] = primary_port.for_worker(i);
-            }
-        }
-        for port in &mut self.ports {
-            port.retune(self.tuned);
-            // One boundary for the whole race, taken before any worker
-            // starts: workers then classify cross-call imports against the
-            // same cut instead of each snapshotting mid-race (which would
-            // count a faster peer's same-call exports as carried).
-            port.mark_call_boundary();
-        }
     }
 }
 
@@ -558,11 +452,7 @@ impl<B: SatBackend + Send + Default + Clone> SatBackend for PortfolioBackend<B> 
             peers_synced: false,
             base_config: self.base_config,
             sharing_enabled: self.sharing_enabled,
-            sharing: self.sharing,
-            tuned: self.tuned,
-            adapt_mark: self.adapt_mark,
-            exchange: None,
-            ports: Vec::new(),
+            sharing_min_instance_size: self.sharing_min_instance_size,
             merged,
             winner: 0,
             wins: vec![0; self.width],
@@ -616,20 +506,17 @@ impl<B: SatBackend + Send + Default + Clone> SatBackend for PortfolioBackend<B> 
             return result;
         }
 
-        let peers_rebuilt = self.sync_peers();
-        // The exchange outlives the race: ports keep their cursors and
-        // dedup state between calls, so lemmas published during an earlier
-        // solve call are imported by this one (cross-call reuse). Small
-        // instances skip it: on them the drain overhead exceeds the
-        // pruning benefit, so the workers race without cooperating.
+        self.sync_peers();
+        // A fresh exchange for this race only. Small instances skip it: on
+        // them the drain overhead exceeds the pruning benefit, so the
+        // workers race without cooperating.
         let instance_size = self.primary.num_vars() + self.primary.num_clauses();
-        let share = self.sharing_enabled && instance_size >= self.sharing.min_instance_size;
+        let share = self.sharing_enabled && instance_size >= self.sharing_min_instance_size;
         if share {
-            self.prepare_ports(peers_rebuilt);
-            let mut ports = std::mem::take(&mut self.ports).into_iter();
-            self.primary.set_clause_exchange(ports.next());
-            for peer in self.peers.iter_mut() {
-                peer.set_clause_exchange(ports.next());
+            let exchange = Arc::new(ClauseExchange::new(self.width));
+            let workers = std::iter::once(&mut self.primary).chain(self.peers.iter_mut());
+            for (i, worker) in workers.enumerate() {
+                worker.set_clause_exchange(Some(ExchangePort::new(exchange.clone(), i)));
             }
         }
 
@@ -671,24 +558,11 @@ impl<B: SatBackend + Send + Default + Clone> SatBackend for PortfolioBackend<B> 
             }
         });
 
-        // Take the ports back with their read positions intact; the next
-        // race re-attaches them so the exchange spans calls. A backend
-        // that cannot return its port (the trait default) retires the
-        // exchange — the next race simply starts a fresh one.
+        // The race is over: detach every port so the exchange is dropped.
         if share {
-            let mut ports = Vec::with_capacity(self.width);
             let workers = std::iter::once(&mut self.primary).chain(self.peers.iter_mut());
             for worker in workers {
-                match worker.take_clause_exchange() {
-                    Some(port) => ports.push(port),
-                    None => break,
-                }
-            }
-            if ports.len() == self.width {
-                self.ports = ports;
-            } else {
-                self.ports.clear();
-                self.exchange = None;
+                worker.set_clause_exchange(None);
             }
         }
 
@@ -752,10 +626,7 @@ mod tests {
     /// Drops the small-instance gate so the pigeonhole tests (all far
     /// below the default threshold) exercise the exchange machinery.
     fn share_always(p: &mut Portfolio) {
-        p.set_sharing_config(SharingConfig {
-            min_instance_size: 0,
-            ..SharingConfig::default()
-        });
+        p.set_sharing_min_instance_size(0);
     }
 
     /// Pigeonhole clauses: `pigeons` into `holes` (UNSAT iff pigeons > holes).
@@ -905,11 +776,10 @@ mod tests {
     }
 
     #[test]
-    fn exchange_persists_across_solve_calls() {
+    fn repeated_sharing_races_keep_importing_and_answering() {
         // PHP(7,6) behind a selector: each assumption solve is a fresh
-        // conflict-heavy race that leaves lemmas in the export queues, and
-        // the next call's entry drain must pick the leftovers up as
-        // cross-call imports (the exchange is no longer per-race).
+        // conflict-heavy race on a fresh exchange. Imports are consequences
+        // of the formula, so the satisfiable side still answers afterwards.
         let mut p = Portfolio::with_width(4);
         share_always(&mut p);
         let pigeons = 7usize;
@@ -938,16 +808,6 @@ mod tests {
         }
         let stats = *p.stats();
         assert!(stats.clauses_imported > 0, "{stats}");
-        assert!(
-            stats.cross_call_imports > 0,
-            "a later call must import lemmas exported during an earlier \
-             one through the persistent exchange: {stats}"
-        );
-        assert!(
-            stats.useful_imports <= stats.clauses_imported,
-            "usefulness counts each import at most once: {stats}"
-        );
-        // The satisfiable side still answers (imports are consequences).
         assert_eq!(
             p.solve_under_assumptions(&[s], &unlimited),
             SolveResult::Sat
@@ -1134,10 +994,7 @@ mod tests {
         let mut p = Portfolio::with_width(4);
         assert!(p.sharing(), "sharing stays enabled; the gate is size-based");
         pigeonhole(&mut p, 7, 6);
-        assert!(
-            SatBackend::num_vars(&p) + SatBackend::num_clauses(&p)
-                < p.sharing_config().min_instance_size
-        );
+        assert!(SatBackend::num_vars(&p) + SatBackend::num_clauses(&p) < DEFAULT_MIN_INSTANCE_SIZE);
         assert_eq!(
             p.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
             SolveResult::Unsat

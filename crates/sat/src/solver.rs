@@ -197,16 +197,6 @@ impl Solver {
         self.exchange = port;
     }
 
-    /// Detaches and returns the clause-exchange port, if one is attached.
-    ///
-    /// The returned port keeps its per-peer read cursors and dedup state,
-    /// so re-attaching it later resumes the exchange exactly where it left
-    /// off — the mechanism `PortfolioBackend` uses to persist one exchange
-    /// across successive solve calls (cross-call lemma reuse).
-    pub fn take_clause_exchange(&mut self) -> Option<ExchangePort> {
-        self.exchange.take()
-    }
-
     /// Initial saved phase for a variable per the configured policy.
     fn initial_phase(&mut self) -> bool {
         match self.config.phase_init {
@@ -309,7 +299,7 @@ impl Solver {
                 self.ok
             }
             _ => {
-                let cref = self.db.alloc(&simplified, false, false, 0);
+                let cref = self.db.alloc(&simplified, false, 0);
                 self.attach(cref);
                 self.stats.arena_bytes = self.db.arena_bytes() as u64;
                 true
@@ -480,13 +470,6 @@ impl Solver {
 
         loop {
             self.bump_clause(cref);
-            // Import-usefulness signal: the first time an imported clause
-            // joins a resolution, credit it (once) — the adaptive sharing
-            // thresholds tune themselves on this yield.
-            if self.db.is_imported(cref) {
-                self.db.clear_imported(cref);
-                self.stats.useful_imports += 1;
-            }
             // Split borrows: the resolved clause's literals are read in
             // place from the arena — the hottest loop in the solver runs
             // allocation-free — while the VSIDS state mutates disjoint
@@ -647,7 +630,7 @@ impl Solver {
             let lbd = self.compute_lbd(&learnt);
             self.export_clause(&learnt, lbd);
             let asserting = learnt[0];
-            let cref = self.db.alloc(&learnt, true, false, lbd);
+            let cref = self.db.alloc(&learnt, true, lbd);
             self.attach(cref);
             self.bump_clause(cref);
             self.unchecked_enqueue(asserting, Some(cref));
@@ -673,19 +656,14 @@ impl Solver {
         };
         debug_assert_eq!(self.decision_level(), 0);
         let mut imported = 0u64;
-        let mut carried = 0u64;
-        port.drain(&mut |lits, lbd, cross_call| {
+        port.drain(&mut |lits, lbd| {
             if self.import_clause(lits, lbd) {
                 imported += 1;
-                if cross_call {
-                    carried += 1;
-                }
             }
         });
         self.exchange = Some(port);
         if imported > 0 {
             self.stats.clauses_imported += imported;
-            self.stats.cross_call_imports += carried;
             self.stats.arena_bytes = self.db.arena_bytes() as u64;
             if self.ok && self.propagate().is_some() {
                 self.ok = false;
@@ -728,7 +706,7 @@ impl Solver {
             }
             _ => {
                 let lbd = lbd.clamp(1, simplified.len() as u32);
-                let cref = self.db.alloc(&simplified, true, true, lbd);
+                let cref = self.db.alloc(&simplified, true, lbd);
                 self.attach(cref);
                 true
             }
@@ -890,15 +868,6 @@ impl Solver {
         self.model.clear();
         self.conflict_core.clear();
         self.cancel_until(0);
-        // Clauses already sitting in peer queues were published during an
-        // *earlier* call; the boundary lets the exchange count how many of
-        // them this call reuses (`Stats::cross_call_imports`). A boundary
-        // pre-marked by the port's owner (the portfolio, before spawning
-        // the race) is kept as-is so racing workers all measure the same
-        // cut.
-        if let Some(port) = &mut self.exchange {
-            port.begin_call();
-        }
         if !self.ok {
             return SolveResult::Unsat;
         }
@@ -906,7 +875,7 @@ impl Solver {
             self.ok = false;
             return SolveResult::Unsat;
         }
-        // Pick up clauses peers shared before this call began.
+        // Pick up clauses faster peers in this race have already shared.
         if !self.import_shared() {
             return SolveResult::Unsat;
         }
@@ -1349,7 +1318,7 @@ mod tests {
 
     #[test]
     fn export_and_import_flow_between_attached_solvers() {
-        use crate::exchange::{ClauseExchange, ExchangePort, SharingConfig};
+        use crate::exchange::{ClauseExchange, ExchangePort};
         use std::sync::Arc;
 
         // Worker 0 learns clauses on a hard UNSAT instance and exports
@@ -1372,7 +1341,7 @@ mod tests {
                 }
             }
         };
-        let exchange = Arc::new(ClauseExchange::new(2, SharingConfig::default()));
+        let exchange = Arc::new(ClauseExchange::new(2));
         let mut exporter = Solver::new();
         build(&mut exporter);
         exporter.set_clause_exchange(Some(ExchangePort::new(exchange.clone(), 0)));

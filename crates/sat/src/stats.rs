@@ -24,13 +24,6 @@ pub struct Stats {
     pub clauses_exported: u64,
     /// Learned clauses imported from portfolio peers (clause sharing).
     pub clauses_imported: u64,
-    /// Imported clauses that later participated in at least one conflict
-    /// resolution (each import is counted useful at most once) — the yield
-    /// signal the adaptive sharing thresholds tune on.
-    pub useful_imports: u64,
-    /// Imported clauses that were published during an *earlier* solve call
-    /// (cross-call lemma reuse through a persistent clause exchange).
-    pub cross_call_imports: u64,
     /// Garbage-collecting compactions of the flat clause arena.
     pub compactions: u64,
     /// Portfolio workers that panicked mid-race and were retired (the race
@@ -57,8 +50,6 @@ impl Stats {
         self.premin_literals += other.premin_literals;
         self.clauses_exported += other.clauses_exported;
         self.clauses_imported += other.clauses_imported;
-        self.useful_imports += other.useful_imports;
-        self.cross_call_imports += other.cross_call_imports;
         self.compactions += other.compactions;
         self.worker_panics += other.worker_panics;
         self.arena_bytes += other.arena_bytes;
@@ -83,10 +74,6 @@ impl Stats {
             premin_literals: self.premin_literals.saturating_sub(base.premin_literals),
             clauses_exported: self.clauses_exported.saturating_sub(base.clauses_exported),
             clauses_imported: self.clauses_imported.saturating_sub(base.clauses_imported),
-            useful_imports: self.useful_imports.saturating_sub(base.useful_imports),
-            cross_call_imports: self
-                .cross_call_imports
-                .saturating_sub(base.cross_call_imports),
             compactions: self.compactions.saturating_sub(base.compactions),
             worker_panics: self.worker_panics.saturating_sub(base.worker_panics),
             arena_bytes: self.arena_bytes,

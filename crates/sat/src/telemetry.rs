@@ -27,12 +27,6 @@ pub struct SolverTelemetry {
     pub clauses_exported: u64,
     /// Learned clauses imported from portfolio peers across all SAT calls.
     pub clauses_imported: u64,
-    /// Imported clauses that later participated in a conflict resolution
-    /// (the yield signal behind the adaptive sharing thresholds).
-    pub useful_imports: u64,
-    /// Imported clauses published during an *earlier* SAT call (cross-call
-    /// lemma reuse through a persistent clause exchange).
-    pub cross_call_imports: u64,
     /// Clause-arena garbage collections across all SAT calls.
     pub compactions: u64,
     /// Portfolio workers retired after panicking mid-race (the race
@@ -102,8 +96,6 @@ impl SolverTelemetry {
         self.db_reductions += child.db_reductions;
         self.clauses_exported += child.clauses_exported;
         self.clauses_imported += child.clauses_imported;
-        self.useful_imports += child.useful_imports;
-        self.cross_call_imports += child.cross_call_imports;
         self.compactions += child.compactions;
         self.worker_panics += child.worker_panics;
         self.arena_bytes = self.arena_bytes.max(child.arena_bytes);

@@ -20,16 +20,15 @@ for key in schema_version benchmarks groups portfolio_speedup sharing_telemetry 
 done
 
 # Telemetry fields: in the sharing probe and in every route row. The
-# strategy-engine fields (strategy, useful_imports, cross_call_imports)
-# came with the pluggable-strategy MaxSAT engine; the warm-start fields
-# (cache_hit, warm_start, reused_clauses) with the route cache; the
-# resilience fields (quality, attempts, worker_panics) with the routing
-# supervisor; request_id (per-row tracing id) with the routing service;
-# the dispatch fields (dispatch_width, dispatch_hardness) with the
-# adaptive dispatcher; the weighted-core
-# fields (strata, exhaustion_steps, hardened_softs) with the
-# weight-stratified core-guided search.
-for key in clauses_exported clauses_imported useful_imports cross_call_imports \
+# strategy field came with the pluggable-strategy MaxSAT engine; the
+# warm-start fields (cache_hit, warm_start, reused_clauses) with the route
+# cache; the resilience fields (quality, attempts, worker_panics) with the
+# routing supervisor; request_id (per-row tracing id) with the routing
+# service; the dispatch fields (dispatch_width, dispatch_hardness) with
+# the adaptive dispatcher; the weighted-core fields (strata,
+# exhaustion_steps, hardened_softs) with the weight-stratified
+# core-guided search.
+for key in clauses_exported clauses_imported \
            compactions arena_bytes strategy cache_hit warm_start reused_clauses \
            quality attempts worker_panics request_id \
            dispatch_width dispatch_hardness \

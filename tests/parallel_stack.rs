@@ -9,8 +9,7 @@ use circuit::{verify::verify, Circuit, Parallelism, RouteRequest, RouteSpec, Sli
 use experiments::runner::{run_suite, run_tool};
 use routers::RouterRegistry;
 use sat::{
-    CancelToken, DefaultBackend, Lit, PortfolioBackend, ResourceBudget, SatBackend, SharingConfig,
-    SolveResult,
+    CancelToken, DefaultBackend, Lit, PortfolioBackend, ResourceBudget, SatBackend, SolveResult,
 };
 
 /// The paper's Fig. 3a running example.
@@ -45,7 +44,9 @@ fn portfolio_routing_costs_match_serial_requests() {
     // wall-clock route to the optimum, never the optimum itself. Sliced
     // routes pin each slice to the previous slice's final map, and a
     // slice's optimum is rarely unique — so they solve every slice on one
-    // worker whatever the request asks, and must match serial too.
+    // worker whatever the request asks, and must match serial too. The
+    // cyclic router slices and then restores the initial map, the same
+    // per-slice pinning on a second path.
     let inputs = [
         (
             "nl-satmap",
@@ -53,6 +54,7 @@ fn portfolio_routing_costs_match_serial_requests() {
             Slicing::RouterDefault,
         ),
         ("satmap", arch::devices::tokyo(), Slicing::Sliced(4)),
+        ("cyc-satmap", arch::devices::tokyo(), Slicing::Sliced(4)),
     ];
     for (router_name, graph, slicing) in inputs {
         let router = RouterRegistry::standard()
@@ -134,7 +136,7 @@ fn core_guided_strategy_routes_the_fig3_example() {
     assert_eq!(routed.swap_count(), 1, "fig3 optimum");
     assert_eq!(outcome.telemetry().strategy, Some("core-guided"));
     assert!(outcome.to_json().contains("\"strategy\":\"core-guided\""));
-    assert!(outcome.to_json().contains("\"cross_call_imports\":"));
+    assert!(outcome.to_json().contains("\"clauses_imported\":"));
 }
 
 #[test]
@@ -349,13 +351,10 @@ fn sharing_portfolio_maxsat_costs_match_serial_backend() {
 fn sharing_on_and_off_portfolios_agree_and_cooperate() {
     // Same hard UNSAT race with sharing on and off: identical answers,
     // and the sharing side must actually move clauses (nonzero imports).
-    // PHP(7,6) sits below the default `min_instance_size` gate, so the
-    // sharing side opens it explicitly — the override the gate documents.
+    // PHP(7,6) sits below the default sharing size gate, so the sharing
+    // side opens it explicitly — the override the gate documents.
     let mut with_sharing = PortfolioBackend::<DefaultBackend>::with_width(4);
-    with_sharing.set_sharing_config(SharingConfig {
-        min_instance_size: 0,
-        ..SharingConfig::default()
-    });
+    with_sharing.set_sharing_min_instance_size(0);
     load_pigeonhole(&mut with_sharing, 7, 6);
     let mut without = PortfolioBackend::<DefaultBackend>::with_width(4);
     without.set_sharing(false);
