@@ -74,19 +74,52 @@ pub type DecodedMaps = Vec<Vec<usize>>;
 /// Per-slot swap choices decoded from a model (`None` = the no-op).
 pub type DecodedSwaps = Vec<Option<(usize, usize)>>;
 
+/// Where the `map` and `swap` variables sit. They are allocated first, in
+/// one block: `map(s, q, p)` in state, logical, physical order, then
+/// `swap(slot, e)` in slot, edge order with the no-op last in each slot. A
+/// variable's index is therefore arithmetic on its coordinates.
+#[derive(Clone, Copy, Debug)]
+struct VarLayout {
+    num_logical: usize,
+    num_phys: usize,
+    num_states: usize,
+    num_slots: usize,
+    num_edges: usize,
+}
+
+impl VarLayout {
+    /// Number of variables in the block.
+    fn len(&self) -> usize {
+        self.swap_base() + self.num_slots * (self.num_edges + 1)
+    }
+
+    fn swap_base(&self) -> usize {
+        self.num_states * self.num_logical * self.num_phys
+    }
+
+    /// `map(q, p, s)`: logical `q` sits on physical `p` at state `s`.
+    fn map(&self, s: usize, q: usize, p: usize) -> Lit {
+        Var::new((s * self.num_logical + q) * self.num_phys + p).positive()
+    }
+
+    /// `swap(e, slot)`: slot `slot` swaps across edge `e` (`num_edges` is
+    /// the no-op).
+    fn swap(&self, slot: usize, e: usize) -> Lit {
+        Var::new(self.swap_base() + slot * (self.num_edges + 1) + e).positive()
+    }
+
+    fn noop(&self, slot: usize) -> Lit {
+        self.swap(slot, self.num_edges)
+    }
+}
+
 /// The variable layout and constraint set for one QMR (sub)problem.
 /// `Clone` supports forked [`crate::RouteSession`]s: the encoding is the
 /// immutable half of a session, duplicated alongside the solver snapshot.
 #[derive(Clone, Debug)]
 pub struct QmrEncoding {
     instance: WcnfInstance,
-    num_logical: usize,
-    num_phys: usize,
-    num_states: usize,
-    /// `map_var[s][q][p]`.
-    map_var: Vec<Vec<Vec<Var>>>,
-    /// `swap_var[slot][e]`, `e` indexing `edges`, plus the no-op at the end.
-    swap_var: Vec<Vec<Var>>,
+    vars: VarLayout,
     /// State index at which gate `g` (two-qubit gate order) executes.
     gate_state: Vec<usize>,
     /// The slice's two-qubit interactions `(gate_index, a, b)`.
@@ -137,28 +170,20 @@ impl QmrEncoding {
         } else {
             last_gate_state + 1
         };
-        let num_slots = num_states - 1;
-
-        let mut instance = WcnfInstance::new();
-        let map_var: Vec<Vec<Vec<Var>>> = (0..num_states)
-            .map(|_| {
-                (0..num_logical)
-                    .map(|_| (0..num_phys).map(|_| instance.new_var()).collect())
-                    .collect()
-            })
-            .collect();
         let edges = graph.edges().to_vec();
-        let swap_var: Vec<Vec<Var>> = (0..num_slots)
-            .map(|_| (0..=edges.len()).map(|_| instance.new_var()).collect())
-            .collect();
-
-        let mut enc = QmrEncoding {
-            instance,
+        let vars = VarLayout {
             num_logical,
             num_phys,
             num_states,
-            map_var,
-            swap_var,
+            num_slots: num_states - 1,
+            num_edges: edges.len(),
+        };
+        let mut instance = WcnfInstance::new();
+        instance.reserve_vars(vars.len());
+
+        let mut enc = QmrEncoding {
+            instance,
+            vars,
             gate_state,
             interactions,
             edges,
@@ -167,33 +192,23 @@ impl QmrEncoding {
         enc.emit_hard_b(graph);
         enc.emit_hard_c();
         enc.emit_hard_d(graph);
-        enc.emit_soft(objective, graph);
+        enc.emit_soft(objective);
         enc
-    }
-
-    fn map_lit(&self, s: usize, q: usize, p: usize) -> Lit {
-        self.map_var[s][q][p].positive()
-    }
-
-    fn swap_lit(&self, slot: usize, e: usize) -> Lit {
-        self.swap_var[slot][e].positive()
-    }
-
-    fn noop_lit(&self, slot: usize) -> Lit {
-        self.swap_var[slot][self.edges.len()].positive()
     }
 
     /// Hard A: maps are injective total functions, per state.
     fn emit_hard_a(&mut self) {
-        for s in 0..self.num_states {
-            for q in 0..self.num_logical {
-                let lits: Vec<Lit> = (0..self.num_phys).map(|p| self.map_lit(s, q, p)).collect();
+        let v = self.vars;
+        let mut lits = Vec::with_capacity(v.num_phys);
+        for s in 0..v.num_states {
+            for q in 0..v.num_logical {
+                lits.clear();
+                lits.extend((0..v.num_phys).map(|p| v.map(s, q, p)));
                 exactly_one(&mut self.instance, &lits);
             }
-            for p in 0..self.num_phys {
-                let lits: Vec<Lit> = (0..self.num_logical)
-                    .map(|q| self.map_lit(s, q, p))
-                    .collect();
+            for p in 0..v.num_phys {
+                lits.clear();
+                lits.extend((0..v.num_logical).map(|q| v.map(s, q, p)));
                 at_most_one(&mut self.instance, &lits);
             }
         }
@@ -201,28 +216,25 @@ impl QmrEncoding {
 
     /// Hard B: each two-qubit gate's operands occupy adjacent qubits.
     fn emit_hard_b(&mut self, graph: &ConnectivityGraph) {
-        for (g, &(_, a, b)) in self.interactions.clone().iter().enumerate() {
-            let s = self.gate_state[g];
-            for p in 0..self.num_phys {
+        let v = self.vars;
+        for (&(_, a, b), &s) in self.interactions.iter().zip(&self.gate_state) {
+            for p in 0..v.num_phys {
                 // map(a, p, s) → ⋁_{p' ∈ N(p)} map(b, p', s)
-                let mut clause = vec![!self.map_lit(s, a.0, p)];
-                clause.extend(
-                    graph
-                        .neighbors(p)
-                        .iter()
-                        .map(|&p2| self.map_lit(s, b.0, p2)),
+                self.instance.add_hard(
+                    std::iter::once(!v.map(s, a.0, p))
+                        .chain(graph.neighbors(p).iter().map(|&p2| v.map(s, b.0, p2))),
                 );
-                self.instance.add_hard(clause);
             }
         }
     }
 
     /// Hard C: exactly one swap choice (possibly the no-op) per slot.
     fn emit_hard_c(&mut self) {
-        for slot in 0..self.swap_var.len() {
-            let lits: Vec<Lit> = (0..=self.edges.len())
-                .map(|e| self.swap_lit(slot, e))
-                .collect();
+        let v = self.vars;
+        let mut lits = Vec::with_capacity(v.num_edges + 1);
+        for slot in 0..v.num_slots {
+            lits.clear();
+            lits.extend((0..=v.num_edges).map(|e| v.swap(slot, e)));
             exactly_one(&mut self.instance, &lits);
         }
     }
@@ -230,53 +242,43 @@ impl QmrEncoding {
     /// Hard D: the effect of the chosen swap, with frame axioms via
     /// `touched(p, slot)` auxiliaries.
     fn emit_hard_d(&mut self, graph: &ConnectivityGraph) {
-        let edges = self.edges.clone();
-        for slot in 0..self.swap_var.len() {
+        let v = self.vars;
+        let (instance, edges) = (&mut self.instance, &self.edges);
+        for slot in 0..v.num_slots {
             let s = slot;
-            // touched(p) ↔ ⋁ swaps incident to p.
-            let touched: Vec<Lit> = (0..self.num_phys)
-                .map(|_| self.instance.new_var().positive())
-                .collect();
-            for (p, &touched_p) in touched.iter().enumerate() {
-                let mut incident = Vec::new();
-                for (e, &(x, y)) in edges.iter().enumerate() {
-                    if x == p || y == p {
-                        let sw = self.swap_lit(slot, e);
-                        // swap(e) → touched(p)
-                        self.instance.add_hard([!sw, touched_p]);
-                        incident.push(sw);
-                    }
+            // touched(p) ↔ ⋁ swaps incident to p; the slot's touched
+            // variables are allocated as one block.
+            let touched_base = instance.num_vars();
+            instance.reserve_vars(touched_base + v.num_phys);
+            let touched = |p: usize| Var::new(touched_base + p).positive();
+            for p in 0..v.num_phys {
+                let incident = || {
+                    edges
+                        .iter()
+                        .enumerate()
+                        .filter(move |&(_, &(x, y))| x == p || y == p)
+                        .map(move |(e, _)| v.swap(slot, e))
+                };
+                // swap(e) → touched(p)
+                for sw in incident() {
+                    instance.add_hard([!sw, touched(p)]);
                 }
                 // touched(p) → some incident swap chosen.
-                let mut clause = vec![!touched_p];
-                clause.extend(incident);
-                self.instance.add_hard(clause);
+                instance.add_hard(std::iter::once(!touched(p)).chain(incident()));
             }
             // Movement: swap((x, y)) carries q across the edge.
             for (e, &(x, y)) in edges.iter().enumerate() {
                 debug_assert!(graph.are_adjacent(x, y));
-                let sw = self.swap_lit(slot, e);
-                for q in 0..self.num_logical {
-                    self.instance.add_hard([
-                        !sw,
-                        !self.map_lit(s, q, x),
-                        self.map_lit(s + 1, q, y),
-                    ]);
-                    self.instance.add_hard([
-                        !sw,
-                        !self.map_lit(s, q, y),
-                        self.map_lit(s + 1, q, x),
-                    ]);
+                let sw = v.swap(slot, e);
+                for q in 0..v.num_logical {
+                    instance.add_hard([!sw, !v.map(s, q, x), v.map(s + 1, q, y)]);
+                    instance.add_hard([!sw, !v.map(s, q, y), v.map(s + 1, q, x)]);
                 }
             }
             // Frame: untouched positions persist.
-            for (p, &touched_p) in touched.iter().enumerate() {
-                for q in 0..self.num_logical {
-                    self.instance.add_hard([
-                        touched_p,
-                        !self.map_lit(s, q, p),
-                        self.map_lit(s + 1, q, p),
-                    ]);
+            for p in 0..v.num_phys {
+                for q in 0..v.num_logical {
+                    instance.add_hard([touched(p), !v.map(s, q, p), v.map(s + 1, q, p)]);
                 }
             }
         }
@@ -285,48 +287,38 @@ impl QmrEncoding {
     /// Soft constraints: reward no-ops (swap-count mode) or weight each
     /// edge by its log-infidelity (fidelity mode). Fidelity mode also adds
     /// per-gate edge-usage softs, reproducing TB-OLSQ's objective.
-    fn emit_soft(&mut self, objective: &Objective, graph: &ConnectivityGraph) {
+    fn emit_soft(&mut self, objective: &Objective) {
+        let v = self.vars;
         match objective {
             Objective::SwapCount => {
-                for slot in 0..self.swap_var.len() {
-                    let noop = self.noop_lit(slot);
-                    self.instance.add_soft(1, [noop]);
+                for slot in 0..v.num_slots {
+                    self.instance.add_soft(1, [v.noop(slot)]);
                 }
             }
             Objective::Fidelity(noise) => {
-                let edges = self.edges.clone();
-                for slot in 0..self.swap_var.len() {
-                    for (e, &(x, y)) in edges.iter().enumerate() {
+                let instance = &mut self.instance;
+                for slot in 0..v.num_slots {
+                    for (e, &(x, y)) in self.edges.iter().enumerate() {
                         let w = arch::NoiseModel::fidelity_weight(noise.swap_fidelity(x, y));
                         if w > 0 {
-                            self.instance.add_soft(w, [!self.swap_lit(slot, e)]);
+                            instance.add_soft(w, [!v.swap(slot, e)]);
                         }
                     }
                 }
                 // Gate-placement fidelity: an indicator per (gate, edge).
-                for (g, &(_, a, b)) in self.interactions.clone().iter().enumerate() {
-                    let s = self.gate_state[g];
-                    for &(x, y) in &edges {
+                for (&(_, a, b), &s) in self.interactions.iter().zip(&self.gate_state) {
+                    for &(x, y) in &self.edges {
                         let w = arch::NoiseModel::fidelity_weight(noise.cx_fidelity(x, y));
                         if w == 0 {
                             continue;
                         }
-                        let used = self.instance.new_var().positive();
+                        let used = instance.new_var().positive();
                         // (a@x ∧ b@y) → used, and the mirrored orientation.
-                        self.instance.add_hard([
-                            !self.map_lit(s, a.0, x),
-                            !self.map_lit(s, b.0, y),
-                            used,
-                        ]);
-                        self.instance.add_hard([
-                            !self.map_lit(s, a.0, y),
-                            !self.map_lit(s, b.0, x),
-                            used,
-                        ]);
-                        self.instance.add_soft(w, [!used]);
+                        instance.add_hard([!v.map(s, a.0, x), !v.map(s, b.0, y), used]);
+                        instance.add_hard([!v.map(s, a.0, y), !v.map(s, b.0, x), used]);
+                        instance.add_soft(w, [!used]);
                     }
                 }
-                let _ = graph;
             }
         }
     }
@@ -338,20 +330,21 @@ impl QmrEncoding {
     ///
     /// Panics if `map` does not cover every logical qubit.
     pub fn pin_initial_map(&mut self, map: &[usize]) {
-        assert_eq!(map.len(), self.num_logical, "map arity mismatch");
+        assert_eq!(map.len(), self.vars.num_logical, "map arity mismatch");
         for (q, &p) in map.iter().enumerate() {
-            self.instance.add_hard([self.map_lit(0, q, p)]);
+            self.instance.add_hard([self.vars.map(0, q, p)]);
         }
     }
 
     /// Adds the cyclic-relaxation constraint: the *exit* state equals the
     /// *entry* state (`map(q, p, 1) ↔ map(q, p, |C|)` in the paper).
     pub fn require_cyclic(&mut self) {
-        let last = self.num_states - 1;
-        for q in 0..self.num_logical {
-            for p in 0..self.num_phys {
-                let first = self.map_lit(0, q, p);
-                let end = self.map_lit(last, q, p);
+        let v = self.vars;
+        let last = v.num_states - 1;
+        for q in 0..v.num_logical {
+            for p in 0..v.num_phys {
+                let first = v.map(0, q, p);
+                let end = v.map(last, q, p);
                 self.instance.add_hard([!first, end]);
                 self.instance.add_hard([first, !end]);
             }
@@ -362,24 +355,21 @@ impl QmrEncoding {
     /// composing the cyclic relaxation with slicing: the last slice must
     /// land on the first slice's entry map).
     pub fn pin_final_map(&mut self, map: &[usize]) {
-        assert_eq!(map.len(), self.num_logical, "map arity mismatch");
-        let last = self.num_states - 1;
+        assert_eq!(map.len(), self.vars.num_logical, "map arity mismatch");
+        let last = self.vars.num_states - 1;
         for (q, &p) in map.iter().enumerate() {
-            self.instance.add_hard([self.map_lit(last, q, p)]);
+            self.instance.add_hard([self.vars.map(last, q, p)]);
         }
     }
 
     /// Excludes a previously returned *final* map (Example 10's
     /// backtracking clause): adds `¬⋀ map(q, final(q), last)`.
     pub fn forbid_final_map(&mut self, map: &[usize]) {
-        assert_eq!(map.len(), self.num_logical, "map arity mismatch");
-        let last = self.num_states - 1;
-        let clause: Vec<Lit> = map
-            .iter()
-            .enumerate()
-            .map(|(q, &p)| !self.map_lit(last, q, p))
-            .collect();
-        self.instance.add_hard(clause);
+        let v = self.vars;
+        assert_eq!(map.len(), v.num_logical, "map arity mismatch");
+        let last = v.num_states - 1;
+        self.instance
+            .add_hard(map.iter().enumerate().map(|(q, &p)| !v.map(last, q, p)));
     }
 
     /// The MaxSAT instance (for solving or WCNF export).
@@ -389,7 +379,7 @@ impl QmrEncoding {
 
     /// Number of map states in the chain.
     pub fn num_states(&self) -> usize {
-        self.num_states
+        self.vars.num_states
     }
 
     /// Decodes a model into the per-state maps and per-slot swap choices.
@@ -403,27 +393,27 @@ impl QmrEncoding {
     /// Panics if the model is not a well-formed solution (the encoding
     /// guarantees well-formedness for any satisfying model).
     pub fn decode(&self, model: &[bool]) -> (DecodedMaps, DecodedSwaps) {
-        let value = |v: Var| model.get(v.index()).copied().unwrap_or(false);
-        let maps: DecodedMaps = (0..self.num_states)
+        let v = self.vars;
+        let value = |l: Lit| model.get(l.var().index()).copied().unwrap_or(false);
+        let maps: DecodedMaps = (0..v.num_states)
             .map(|s| {
-                (0..self.num_logical)
+                (0..v.num_logical)
                     .map(|q| {
-                        let ps: Vec<usize> = (0..self.num_phys)
-                            .filter(|&p| value(self.map_var[s][q][p]))
-                            .collect();
+                        let ps: Vec<usize> =
+                            (0..v.num_phys).filter(|&p| value(v.map(s, q, p))).collect();
                         assert_eq!(ps.len(), 1, "state {s}, q{q}: map not a function");
                         ps[0]
                     })
                     .collect()
             })
             .collect();
-        let swaps: Vec<Option<(usize, usize)>> = (0..self.swap_var.len())
+        let swaps: Vec<Option<(usize, usize)>> = (0..v.num_slots)
             .map(|slot| {
-                let chosen: Vec<usize> = (0..=self.edges.len())
-                    .filter(|&e| value(self.swap_var[slot][e]))
+                let chosen: Vec<usize> = (0..=v.num_edges)
+                    .filter(|&e| value(v.swap(slot, e)))
                     .collect();
                 assert_eq!(chosen.len(), 1, "slot {slot}: not exactly one swap");
-                if chosen[0] == self.edges.len() {
+                if chosen[0] == v.num_edges {
                     None
                 } else {
                     Some(self.edges[chosen[0]])
@@ -744,9 +734,37 @@ mod tests {
         );
         let text = enc.instance().to_wcnf();
         let parsed = maxsat::WcnfInstance::parse_wcnf(&text).expect("round trips");
-        assert_eq!(
-            parsed.hard_clauses().len(),
-            enc.instance().hard_clauses().len()
+        assert_eq!(&parsed, enc.instance());
+    }
+
+    #[test]
+    fn cloned_encoding_is_equal_and_independent() {
+        // A forked route session clones the encoding next to the solver
+        // snapshot, so the clone must be the same instance and layout.
+        let circuit = fig3_circuit();
+        let graph = fig3_graph();
+        let enc = QmrEncoding::build(
+            &circuit,
+            &graph,
+            1,
+            EncodeShape::continuation(1),
+            &Objective::SwapCount,
         );
+        let mut fork = enc.clone();
+        assert_eq!(fork.instance(), enc.instance());
+        assert_eq!(fork.num_states(), enc.num_states());
+        assert_eq!(fork.interactions(), enc.interactions());
+        let model = solve(enc.instance(), ResourceBudget::unlimited())
+            .model
+            .expect("model");
+        let decoded = enc.decode(&model);
+        assert_eq!(fork.decode(&model), decoded);
+
+        fork.forbid_final_map(decoded.0.last().expect("states"));
+        assert_eq!(
+            fork.instance().hard_clauses().len(),
+            enc.instance().hard_clauses().len() + 1
+        );
+        assert_ne!(fork.instance(), enc.instance());
     }
 }

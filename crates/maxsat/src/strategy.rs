@@ -134,17 +134,17 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
 
         let encode_start = Instant::now();
         solver.reserve_vars(instance.num_vars());
-        for h in instance.hard_clauses() {
-            solver.add_clause(h);
-        }
+        solver.add_clauses(instance.hard_clauses());
         let mut indicators: Vec<(Lit, u64)> = Vec::with_capacity(instance.soft_clauses().len());
+        let mut clause: Vec<Lit> = Vec::new();
         for s in instance.soft_clauses() {
             match s.lits.as_slice() {
                 [] => continue, // an empty soft is always falsified; constant cost
                 [l] => indicators.push((!*l, s.weight)),
                 lits => {
                     let r = solver.new_var().positive();
-                    let mut clause: Vec<Lit> = lits.to_vec();
+                    clause.clear();
+                    clause.extend_from_slice(lits);
                     clause.push(r);
                     solver.add_clause(&clause);
                     // r is free to be false whenever the clause is satisfied,

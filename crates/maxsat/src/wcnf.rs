@@ -7,7 +7,7 @@
 
 use std::fmt::Write as _;
 
-use sat::Lit;
+use sat::{ClauseList, Lit};
 
 /// A soft clause: a disjunction of literals with a positive weight.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -20,6 +20,11 @@ pub struct SoftClause {
 
 /// A weighted partial MaxSAT instance: hard clauses that must hold and soft
 /// clauses whose total satisfied weight is maximized.
+///
+/// Hard clauses are stored flat in one [`ClauseList`], so adding one
+/// allocates nothing per clause, cloning an instance copies two buffers,
+/// and a solver loads them all in one
+/// [`SatBackend::add_clauses`](sat::SatBackend::add_clauses) call.
 ///
 /// # Examples
 ///
@@ -38,7 +43,7 @@ pub struct SoftClause {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WcnfInstance {
     num_vars: usize,
-    hard: Vec<Vec<Lit>>,
+    hard: ClauseList,
     soft: Vec<SoftClause>,
 }
 
@@ -67,11 +72,12 @@ impl WcnfInstance {
 
     /// Adds a hard clause.
     pub fn add_hard<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
-        let lits: Vec<Lit> = lits.into_iter().collect();
-        for l in &lits {
-            self.num_vars = self.num_vars.max(l.var().index() + 1);
-        }
-        self.hard.push(lits);
+        let mut num_vars = self.num_vars;
+        self.hard.push(
+            lits.into_iter()
+                .inspect(|l| num_vars = num_vars.max(l.var().index() + 1)),
+        );
+        self.num_vars = num_vars;
     }
 
     /// Adds a soft clause with the given `weight`.
@@ -88,8 +94,8 @@ impl WcnfInstance {
         self.soft.push(SoftClause { weight, lits });
     }
 
-    /// The hard clauses.
-    pub fn hard_clauses(&self) -> &[Vec<Lit>] {
+    /// The hard clauses, in the order they were added.
+    pub fn hard_clauses(&self) -> &ClauseList {
         &self.hard
     }
 
@@ -159,6 +165,7 @@ impl WcnfInstance {
     pub fn parse_wcnf(text: &str) -> Result<Self, String> {
         let mut inst = WcnfInstance::new();
         let mut top: Option<u64> = None;
+        let mut lits = Vec::new();
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('c') {
@@ -185,7 +192,7 @@ impl WcnfInstance {
                 .next()
                 .and_then(|t| t.parse().ok())
                 .ok_or_else(|| format!("line {}: missing weight", lineno + 1))?;
-            let mut lits = Vec::new();
+            lits.clear();
             for t in toks {
                 let v: i64 = t
                     .parse()
@@ -196,8 +203,8 @@ impl WcnfInstance {
                 lits.push(Lit::from_dimacs(v));
             }
             match top {
-                Some(t) if weight >= t => inst.add_hard(lits),
-                _ => inst.add_soft(weight, lits),
+                Some(t) if weight >= t => inst.add_hard(lits.iter().copied()),
+                _ => inst.add_soft(weight, lits.iter().copied()),
             }
         }
         Ok(inst)
@@ -217,13 +224,39 @@ mod tests {
         let mut inst = WcnfInstance::new();
         inst.reserve_vars(3);
         inst.add_hard([lit(1), lit(-2)]);
+        inst.add_hard([]);
+        inst.add_hard([lit(3), lit(-1), lit(3)]);
         inst.add_soft(5, [lit(3)]);
         inst.add_soft(2, [lit(-1), lit(2)]);
         let text = inst.to_wcnf();
         let parsed = WcnfInstance::parse_wcnf(&text).expect("parses");
-        assert_eq!(parsed.hard_clauses().len(), 1);
-        assert_eq!(parsed.soft_clauses().len(), 2);
+        let hard: Vec<&[Lit]> = parsed.hard_clauses().iter().collect();
+        assert_eq!(
+            hard,
+            [&[lit(1), lit(-2)][..], &[], &[lit(3), lit(-1), lit(3)]],
+            "every hard clause comes back in order, repeats included"
+        );
+        assert_eq!(parsed.soft_clauses(), inst.soft_clauses());
         assert_eq!(parsed.total_soft_weight(), 7);
+        assert_eq!(parsed, inst);
+    }
+
+    #[test]
+    fn empty_hard_clause_is_unsatisfiable() {
+        let mut inst = WcnfInstance::new();
+        inst.add_hard([lit(1)]);
+        assert_eq!(inst.cost_of(&[true]), Some(0));
+        inst.add_hard([]);
+        assert_eq!(inst.hard_clauses().len(), 2);
+        assert_eq!(inst.cost_of(&[true]), None);
+    }
+
+    #[test]
+    fn add_hard_tracks_the_largest_variable() {
+        let mut inst = WcnfInstance::new();
+        inst.add_hard([lit(-4), lit(2), lit(-4)]);
+        assert_eq!(inst.num_vars(), 4);
+        assert_eq!(inst.new_var().index(), 4);
     }
 
     #[test]

@@ -21,8 +21,10 @@
 //!    answer on attempt `k > 1` is stamped
 //!    [`RouteQuality::WarmRetry`]`(k - 1)`.
 //! 3. **Heuristic degradation** — when the ladder is exhausted, the best
-//!    unproven incumbent (if any attempt produced one) or the fallback
-//!    heuristic's answer is returned, stamped [`RouteQuality::Degraded`].
+//!    unproven incumbent under the request's objective (fewest swaps, or
+//!    lowest log-infidelity for [`Objective::Fidelity`]), if any attempt
+//!    produced one, or the fallback heuristic's answer is returned,
+//!    stamped [`RouteQuality::Degraded`].
 //!    The fallback runs unbudgeted: it is fast and must deliver.
 //!
 //! Non-retryable failures ([`RouteError::InvalidRequest`],
@@ -45,7 +47,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use circuit::{RouteError, RouteOutcome, RouteQuality, RouteRequest};
+use circuit::{Objective, RouteError, RouteOutcome, RouteQuality, RouteRequest};
 use sat::{ResourceBudget, SatBackend, SolverTelemetry};
 use satmap::{RouteSession, SatMap, SatMapConfig};
 
@@ -295,11 +297,8 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
                         return outcome.with_quality(quality).with_attempts(attempt);
                     }
                     // Unproven incumbent (already stamped Degraded by the
-                    // router): keep the cheapest and escalate for a proof.
-                    best_unproven = Some(match best_unproven.take() {
-                        Some(best) if swap_count(&best) <= swap_count(&outcome) => best,
-                        _ => outcome,
-                    });
+                    // router): keep the best and escalate for a proof.
+                    best_unproven = Some(better_incumbent(request, best_unproven.take(), outcome));
                 }
                 Some(RouteError::InvalidRequest(_))
                 | Some(RouteError::Unsatisfiable(_))
@@ -470,15 +469,38 @@ fn lock_or_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Swap count of a solved outcome (used to pick the best incumbent).
-fn swap_count(outcome: &RouteOutcome) -> usize {
-    outcome.routed().map_or(usize::MAX, |r| r.swap_count())
+/// The better of the kept incumbent and a new one under the request's
+/// objective; a tie keeps the earlier one.
+fn better_incumbent(
+    request: &RouteRequest<'_>,
+    kept: Option<RouteOutcome>,
+    candidate: RouteOutcome,
+) -> RouteOutcome {
+    match kept {
+        Some(kept) if objective_cost(request, &kept) <= objective_cost(request, &candidate) => kept,
+        _ => candidate,
+    }
+}
+
+/// Cost of a solved outcome under the request's objective, lower being
+/// better: the swap count, or the routed circuit's log-infidelity under
+/// the request's noise model.
+fn objective_cost(request: &RouteRequest<'_>, outcome: &RouteOutcome) -> f64 {
+    let Some(routed) = outcome.routed() else {
+        return f64::INFINITY;
+    };
+    match request.objective() {
+        Objective::SwapCount => routed.swap_count() as f64,
+        Objective::Fidelity(noise) => {
+            routed.log_infidelity(request.circuit(), request.graph(), noise)
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use circuit::{verify::verify, Circuit};
+    use circuit::{verify::verify, Circuit, RoutedCircuit, RoutedOp};
 
     fn fig3() -> (Circuit, arch::ConnectivityGraph) {
         let mut c = Circuit::new(4);
@@ -499,6 +521,81 @@ mod tests {
             c.cx(k % 20, (k + 1) % 20);
         }
         (c, arch::devices::tokyo())
+    }
+
+    #[test]
+    fn fidelity_incumbents_are_compared_by_log_infidelity() {
+        // Thirty CXs between q0 and q1 on a 4-qubit line. `direct` runs
+        // them all on the worst edge without a swap; `detour` spends one
+        // swap to run them on the best edge. Fewer swaps, worse fidelity.
+        let graph = arch::devices::linear(4);
+        let noise = arch::NoiseModel::synthetic(&graph, 3);
+        let error = |&(a, b): &(usize, usize)| noise.cx_error(a, b);
+        let edges = graph.edges();
+        let worst = *edges
+            .iter()
+            .max_by(|x, y| error(x).total_cmp(&error(y)))
+            .expect("edges");
+        // Orient the best edge so its second end has another neighbour to
+        // swap in from.
+        let best = *edges
+            .iter()
+            .min_by(|x, y| error(x).total_cmp(&error(y)))
+            .expect("edges");
+        let (b0, b1) = if graph.neighbors(best.1).len() > 1 {
+            best
+        } else {
+            (best.1, best.0)
+        };
+        let z = *graph
+            .neighbors(b1)
+            .iter()
+            .find(|&&p| p != b0)
+            .expect("a line of 4 has one");
+        let mut c = Circuit::new(2);
+        for _ in 0..30 {
+            c.cx(0, 1);
+        }
+        let ops = |swap: Option<(usize, usize)>| {
+            let mut ops: Vec<_> = swap
+                .map(|(x, y)| RoutedOp::Swap(x, y))
+                .into_iter()
+                .collect();
+            ops.extend((0..30).map(RoutedOp::Logical));
+            ops
+        };
+        let direct = RoutedCircuit::new(vec![worst.0, worst.1], ops(None));
+        let detour = RoutedCircuit::new(vec![b0, z], ops(Some((z, b1))));
+        for routed in [&direct, &detour] {
+            verify(&c, &graph, routed).expect("both routings are valid");
+        }
+        assert!(direct.swap_count() < detour.swap_count());
+        assert!(
+            direct.log_infidelity(&c, &graph, &noise) > detour.log_infidelity(&c, &graph, &noise)
+        );
+
+        let outcome = |routed: &RoutedCircuit| {
+            RouteOutcome::new(
+                "satmap",
+                Ok(routed.clone()),
+                SolverTelemetry::new(),
+                Duration::ZERO,
+            )
+        };
+        let pick = |request: &RouteRequest<'_>, first: &RoutedCircuit, second: &RoutedCircuit| {
+            let kept = better_incumbent(request, None, outcome(first));
+            better_incumbent(request, Some(kept), outcome(second))
+                .routed()
+                .expect("solved")
+                .clone()
+        };
+        let fidelity =
+            RouteRequest::new(&c, &graph).with_objective(Objective::Fidelity(noise.clone()));
+        assert_eq!(pick(&fidelity, &direct, &detour), detour);
+        assert_eq!(pick(&fidelity, &detour, &direct), detour);
+        let swaps = RouteRequest::new(&c, &graph);
+        assert_eq!(pick(&swaps, &direct, &detour), direct);
+        assert_eq!(pick(&swaps, &detour, &direct), direct);
     }
 
     #[test]

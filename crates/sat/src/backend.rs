@@ -17,6 +17,7 @@
 //! them) is then a one-line change per call site.
 
 use crate::budget::ResourceBudget;
+use crate::clause_list::ClauseList;
 use crate::config::SolverConfig;
 use crate::exchange::ExchangePort;
 use crate::lit::{Lit, Var};
@@ -116,6 +117,20 @@ pub trait SatBackend: ClauseSink {
     /// unsatisfiable at the top level.
     fn add_clause(&mut self, lits: &[Lit]) -> bool;
 
+    /// Adds every clause of `clauses`, in order; returns `false` if any
+    /// [`SatBackend::add_clause`] call would have.
+    ///
+    /// Must behave exactly like calling [`SatBackend::add_clause`] on each
+    /// clause in turn, which is what the default does. A backend may size
+    /// its storage for the whole list first, as [`Solver`] does.
+    fn add_clauses(&mut self, clauses: &ClauseList) -> bool {
+        let mut ok = true;
+        for c in clauses {
+            ok &= self.add_clause(c);
+        }
+        ok
+    }
+
     /// Solves under `assumptions` within `budget`. The budget is armed (see
     /// [`ResourceBudget::arm`]) on entry, so a deadline inherited from a
     /// parent call is honored as-is.
@@ -185,6 +200,10 @@ impl SatBackend for Solver {
 
     fn add_clause(&mut self, lits: &[Lit]) -> bool {
         Solver::add_clause(self, lits.iter().copied())
+    }
+
+    fn add_clauses(&mut self, clauses: &ClauseList) -> bool {
+        Solver::add_clauses(self, clauses)
     }
 
     fn solve_under_assumptions(

@@ -112,6 +112,12 @@ impl ClauseDb {
         cref
     }
 
+    /// Makes room for `clauses` more clauses holding `lits` literals in
+    /// total, so appending them does not regrow the arena.
+    pub fn reserve(&mut self, clauses: usize, lits: usize) {
+        self.words.reserve(clauses * HEADER_WORDS + lits);
+    }
+
     /// Number of literals in the clause.
     #[inline]
     pub fn len(&self, cref: ClauseRef) -> usize {

@@ -11,6 +11,8 @@
 //! * a flat clause arena with garbage-collecting compaction — clause
 //!   storage is one contiguous buffer, so cloning a formula for a
 //!   portfolio worker is a `memcpy` (see [`clause`][ClauseRef]),
+//! * flat clause lists ([`ClauseList`]) loaded in one pre-sized bulk call
+//!   ([`SatBackend::add_clauses`]),
 //! * VSIDS decision heuristic with phase saving,
 //! * first-UIP conflict analysis with clause minimization,
 //! * Luby restarts and activity/LBD-guided learned-clause reduction,
@@ -51,6 +53,7 @@ pub mod backend;
 pub mod budget;
 pub mod chaos;
 mod clause;
+mod clause_list;
 pub mod config;
 pub mod dimacs;
 pub mod exchange;
@@ -66,6 +69,7 @@ pub use backend::{ClauseSink, DefaultBackend, SatBackend};
 pub use budget::{CancelRegistry, CancelToken, ResourceBudget};
 pub use chaos::{ChaosBackend, FaultPlan};
 pub use clause::ClauseRef;
+pub use clause_list::{ClauseList, Clauses};
 pub use config::{PhaseInit, SolverConfig};
 pub use exchange::{ClauseExchange, ExchangePort, DEFAULT_MIN_INSTANCE_SIZE};
 pub use lit::{LBool, Lit, Var};

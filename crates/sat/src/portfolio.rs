@@ -66,6 +66,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::backend::{ClauseSink, DefaultBackend, SatBackend};
 use crate::budget::ResourceBudget;
+use crate::clause_list::ClauseList;
 use crate::config::SolverConfig;
 use crate::exchange::{ClauseExchange, ExchangePort, DEFAULT_MIN_INSTANCE_SIZE};
 use crate::lit::{Lit, Var};
@@ -468,6 +469,11 @@ impl<B: SatBackend + Send + Default + Clone> SatBackend for PortfolioBackend<B> 
     fn add_clause(&mut self, lits: &[Lit]) -> bool {
         self.peers_synced = false;
         self.primary.add_clause(lits)
+    }
+
+    fn add_clauses(&mut self, clauses: &ClauseList) -> bool {
+        self.peers_synced = false;
+        self.primary.add_clauses(clauses)
     }
 
     fn solve_under_assumptions(

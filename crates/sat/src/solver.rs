@@ -15,6 +15,7 @@
 
 use crate::budget::ResourceBudget;
 use crate::clause::{ClauseDb, ClauseRef};
+use crate::clause_list::ClauseList;
 use crate::config::{PhaseInit, SolverConfig, XorShift64};
 use crate::exchange::ExchangePort;
 use crate::lit::{LBool, Lit, Var};
@@ -98,6 +99,8 @@ pub struct Solver {
     rng: XorShift64,
     /// Portfolio clause-sharing port, when racing (see [`ExchangePort`]).
     exchange: Option<ExchangePort>,
+    /// Reusable scratch in which added and imported clauses are simplified.
+    add_buf: Vec<Lit>,
 }
 
 impl Default for Solver {
@@ -165,6 +168,7 @@ impl Solver {
             rng: XorShift64::new(config.seed),
             config,
             exchange: None,
+            add_buf: Vec::new(),
         }
     }
 
@@ -264,47 +268,96 @@ impl Solver {
     ///
     /// Duplicated literals are removed and tautologies are dropped. Must not
     /// be called between `solve` calls' partial states — the solver
-    /// backtracks to the root level automatically.
+    /// backtracks to the root level automatically. The literals are
+    /// simplified in a scratch buffer the solver keeps, so admitting a
+    /// clause needs no allocation of its own.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> bool {
         self.cancel_until(0);
         if !self.ok {
             return false;
         }
-        let mut ps: Vec<Lit> = lits.into_iter().collect();
+        let mut ps = std::mem::take(&mut self.add_buf);
+        ps.clear();
+        ps.extend(lits);
+        if self.simplify_at_root(&mut ps) {
+            match ps.len() {
+                0 => self.ok = false,
+                1 => {
+                    self.unchecked_enqueue(ps[0], None);
+                    self.ok = self.propagate().is_none();
+                }
+                _ => {
+                    let cref = self.db.alloc(&ps, false, 0);
+                    self.attach(cref);
+                    self.stats.arena_bytes = self.db.arena_bytes() as u64;
+                }
+            }
+        }
+        self.add_buf = ps;
+        self.ok
+    }
+
+    /// Adds every clause of `clauses` in order: the same
+    /// [`Solver::add_clause`] calls a loop would make, so units met
+    /// mid-list still propagate and later clauses are simplified against
+    /// them. Before the loop, the clause arena and the watch lists are
+    /// sized for the whole list. Returns `false` if any of those calls
+    /// does.
+    pub fn add_clauses(&mut self, clauses: &ClauseList) -> bool {
+        self.reserve_for(clauses);
+        let mut ok = true;
+        for c in clauses {
+            ok &= self.add_clause(c.iter().copied());
+        }
+        ok
+    }
+
+    /// Sizes the arena and the watch lists for loading `clauses`. A clause
+    /// with two distinct literals takes its words in the arena and one
+    /// watcher on the negation of each of its two smallest literals, which
+    /// are the ones [`Solver::add_clause`] watches after sorting. The sizes
+    /// are exact unless root assignments simplify clauses of the list;
+    /// lists that then run short grow as usual.
+    fn reserve_for(&mut self, clauses: &ClauseList) {
+        let mut watch_counts = vec![0u32; self.watches.len()];
+        let (mut stored, mut stored_lits) = (0, 0);
+        for c in clauses {
+            if let Some((a, b)) = two_smallest(c) {
+                stored += 1;
+                stored_lits += c.len();
+                watch_counts[(!a).code() as usize] += 1;
+                watch_counts[(!b).code() as usize] += 1;
+            }
+        }
+        self.db.reserve(stored, stored_lits);
+        for (ws, &n) in self.watches.iter_mut().zip(&watch_counts) {
+            ws.reserve_exact(n as usize);
+        }
+    }
+
+    /// Sorts `ps` and drops duplicate and root-falsified literals in place.
+    /// Returns `false` when the clause needs no storing: it is a tautology
+    /// or already satisfied at the root.
+    fn simplify_at_root(&self, ps: &mut Vec<Lit>) -> bool {
         ps.sort_unstable();
         ps.dedup();
-        // Tautology / root-level simplification.
-        let mut simplified = Vec::with_capacity(ps.len());
-        let mut i = 0;
-        while i < ps.len() {
+        let mut kept = 0;
+        for i in 0..ps.len() {
             let l = ps[i];
             if i + 1 < ps.len() && ps[i + 1] == !l {
-                return true; // tautology: contains l and ¬l
+                return false; // tautology: contains l and ¬l
             }
             match self.value_lit(l) {
-                LBool::True => return true, // already satisfied at root
-                LBool::False => {}          // drop falsified literal
-                LBool::Undef => simplified.push(l),
-            }
-            i += 1;
-        }
-        match simplified.len() {
-            0 => {
-                self.ok = false;
-                false
-            }
-            1 => {
-                self.unchecked_enqueue(simplified[0], None);
-                self.ok = self.propagate().is_none();
-                self.ok
-            }
-            _ => {
-                let cref = self.db.alloc(&simplified, false, 0);
-                self.attach(cref);
-                self.stats.arena_bytes = self.db.arena_bytes() as u64;
-                true
+                LBool::True => return false, // already satisfied at root
+                LBool::False => {}           // drop falsified literal
+                LBool::Undef => {
+                    ps[kept] = l;
+                    kept += 1;
+                }
             }
         }
+        ps.truncate(kept);
+        true
     }
 
     fn attach(&mut self, cref: ClauseRef) {
@@ -680,37 +733,29 @@ impl Solver {
             // Unknown variables can only mean a misrouted port; drop.
             return false;
         }
-        let mut ps: Vec<Lit> = lits.to_vec();
-        ps.sort_unstable();
-        ps.dedup();
-        let mut simplified = Vec::with_capacity(ps.len());
-        for (i, &l) in ps.iter().enumerate() {
-            if i + 1 < ps.len() && ps[i + 1] == !l {
-                return false; // tautology
-            }
-            match self.value_lit(l) {
-                LBool::True => return false, // already satisfied at root
-                LBool::False => {}           // falsified at root: drop literal
-                LBool::Undef => simplified.push(l),
-            }
-        }
-        match simplified.len() {
-            0 => {
-                // An imported consequence is empty at root: unsatisfiable.
-                self.ok = false;
-                true
-            }
-            1 => {
-                self.unchecked_enqueue(simplified[0], None);
-                true
-            }
-            _ => {
-                let lbd = lbd.clamp(1, simplified.len() as u32);
-                let cref = self.db.alloc(&simplified, true, lbd);
-                self.attach(cref);
-                true
-            }
-        }
+        let mut ps = std::mem::take(&mut self.add_buf);
+        ps.clear();
+        ps.extend_from_slice(lits);
+        let recorded = self.simplify_at_root(&mut ps)
+            && match ps.len() {
+                0 => {
+                    // An imported consequence is empty at root: unsatisfiable.
+                    self.ok = false;
+                    true
+                }
+                1 => {
+                    self.unchecked_enqueue(ps[0], None);
+                    true
+                }
+                _ => {
+                    let lbd = lbd.clamp(1, ps.len() as u32);
+                    let cref = self.db.alloc(&ps, true, lbd);
+                    self.attach(cref);
+                    true
+                }
+            };
+        self.add_buf = ps;
+        recorded
     }
 
     /// Literal block distance of `lits` via the reusable level-stamp
@@ -1085,6 +1130,20 @@ enum SearchOutcome {
     BudgetExhausted,
 }
 
+/// The two smallest distinct literals of `c`, if it has two.
+fn two_smallest(c: &[Lit]) -> Option<(Lit, Lit)> {
+    let (mut first, mut second): (Option<Lit>, Option<Lit>) = (None, None);
+    for &l in c {
+        if first.is_none_or(|f| l < f) {
+            second = first;
+            first = Some(l);
+        } else if first != Some(l) && second.is_none_or(|s| l < s) {
+            second = Some(l);
+        }
+    }
+    Some((first?, second?))
+}
+
 /// The Luby restart sequence (1,1,2,1,1,2,4,...).
 fn luby(mut i: u64) -> u64 {
     // Find the finite subsequence that contains index i.
@@ -1111,6 +1170,16 @@ mod tests {
             s.new_var();
         }
         Lit::from_dimacs(d)
+    }
+
+    #[test]
+    fn two_smallest_skips_repeats() {
+        let l = |v: &[i64]| v.iter().map(|&d| Lit::from_dimacs(d)).collect::<Vec<_>>();
+        let pair = |a, b| Some((Lit::from_dimacs(a), Lit::from_dimacs(b)));
+        assert_eq!(two_smallest(&l(&[3, 1, 1, 2])), pair(1, 2));
+        assert_eq!(two_smallest(&l(&[2, 2, -1])), pair(-1, 2));
+        assert_eq!(two_smallest(&l(&[4, 4])), None);
+        assert_eq!(two_smallest(&[]), None);
     }
 
     #[test]
