@@ -8,16 +8,11 @@
 //! and driven by a `RouteRequest` carrying the per-call budget — no
 //! concrete router type appears in this harness.
 
-use bench::{
-    bench_budget, camouflaged_core_cnf, fig3, fig3_mutants, placement_wcnf, planted_cnf,
-    small_workloads,
-};
-use circuit::{
-    Objective, Parallelism, RepeatedStructure, RouteRequest, Router, SearchStrategy, Slicing,
-};
+use bench::{bench_budget, fig3, fig3_mutants, placement_wcnf, planted_cnf, small_workloads};
+use circuit::{Objective, RepeatedStructure, RouteRequest, Router, Slicing};
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use routers::{BoxedRouter, RouterRegistry};
-use sat::{ClauseSink, Lit, PortfolioBackend, ResourceBudget, SatBackend, SolveResult, Solver};
+use sat::{Lit, ResourceBudget, Solver};
 
 fn create(name: &str) -> BoxedRouter {
     RouterRegistry::standard()
@@ -207,91 +202,11 @@ fn ablation_swaps_per_gap(c: &mut Criterion) {
     group.finish();
 }
 
-/// Portfolio solving: a single default CDCL worker vs a 4-worker
-/// diversified race on the same planted-model 3-CNF. The planted model is
-/// mostly-positive, the worst case for the default negative-first phase —
-/// exactly the variance a diversified portfolio erases, so this group is
-/// the `portfolio_speedup` source in `BENCH_satmap.json`.
-fn portfolio_race(c: &mut Criterion) {
-    let mut group = c.benchmark_group("portfolio");
-    group.sample_size(10);
-    let cnf = planted_cnf(400, 1600, 5);
-    let load = |backend: &mut dyn ClauseSink| {
-        for clause in &cnf {
-            let lits: Vec<Lit> = clause.iter().map(|&d| Lit::from_dimacs(d)).collect();
-            backend.emit(&lits);
-        }
-    };
-    group.bench_function("single", |b| {
-        b.iter(|| {
-            let mut s = Solver::new();
-            s.reserve_vars(400);
-            load(&mut s);
-            assert_eq!(
-                s.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
-                SolveResult::Sat
-            );
-        })
-    });
-    group.bench_function("portfolio4", |b| {
-        b.iter(|| {
-            let mut p = PortfolioBackend::<Solver>::with_width(4);
-            p.reserve_vars(400);
-            load(&mut p);
-            assert_eq!(
-                p.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
-                SolveResult::Sat
-            );
-        })
-    });
-    group.finish();
-}
-
-/// Clause sharing on vs off: the same width-4 diversified race on an
-/// UNSAT instance whose pigeonhole core is camouflaged inside a large
-/// planted-satisfiable region (see [`camouflaged_core_cnf`]). The first
-/// worker to focus on the core exports its low-LBD refutation lemmas at
-/// restart boundaries and steers every peer out of the camouflage, so
-/// with sharing the race is cooperative rather than merely diversified;
-/// the answers are identical either way (the parallel-stack tests assert
-/// it), only the route shortens — `on` measures ~1.6-2x faster than
-/// `off` here. The crossover this group used to sit on the wrong side of: on
-/// bare conflict-heavy families like PHP(6,5), where every diversified
-/// worker converges on the same conflicts unaided, the per-restart drain
-/// overhead exceeds what the imports prune and `on` came out ~1.4x
-/// *slower* — which is exactly the regime the default
-/// `PortfolioBackend::set_sharing_min_instance_size` gate exists to skip.
-/// `BENCH_satmap.json` records both medians.
-fn sharing_race(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sharing");
-    group.sample_size(10);
-    let (cnf, num_vars) = camouflaged_core_cnf(500, 2000, 7, 3);
-    let run = |sharing: bool| {
-        let mut p = PortfolioBackend::<Solver>::with_width(4);
-        p.set_sharing(sharing);
-        // The camouflaged family still sits below the conservative default
-        // size gate; this group measures the exchange itself, so open it.
-        p.set_sharing_min_instance_size(0);
-        p.reserve_vars(num_vars);
-        for clause in &cnf {
-            let lits: Vec<Lit> = clause.iter().map(|&d| Lit::from_dimacs(d)).collect();
-            SatBackend::add_clause(&mut p, &lits);
-        }
-        assert_eq!(
-            p.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
-            SolveResult::Unsat
-        );
-    };
-    group.bench_function("on", |b| b.iter(|| run(true)));
-    group.bench_function("off", |b| b.iter(|| run(false)));
-    group.finish();
-}
-
-/// Arena clone vs re-emission: materializing three portfolio peers from a
-/// loaded 1600-clause solver. `clone` is the flat-arena `memcpy` path the
-/// portfolio now uses; `reemit` rebuilds each peer by replaying every
-/// clause through `add_clause` (the pre-arena behaviour, paying
-/// simplification and watch setup per clause per worker).
+/// Arena clone vs re-emission: materializing three copies of a loaded
+/// 1600-clause solver. `clone` is the flat-arena `memcpy` path a
+/// warm-start snapshot uses; `reemit` rebuilds each copy by replaying
+/// every clause through `add_clause` (the pre-arena behaviour, paying
+/// simplification and watch setup per clause per copy).
 fn arena_clone_vs_reemit(c: &mut Criterion) {
     let mut group = c.benchmark_group("arena");
     let cnf = planted_cnf(400, 1600, 5);
@@ -404,64 +319,6 @@ fn weighted_core(c: &mut Criterion) {
     group.finish();
 }
 
-/// The portfolio width chosen at request time: `Serial` vs an explicit
-/// 4-wide race on the same monolithic route, through the same router.
-fn portfolio_width_request(c: &mut Criterion) {
-    let mut group = c.benchmark_group("portfolio_width");
-    group.sample_size(10);
-    let graph = arch::devices::tokyo_minus();
-    let circuit = fig3();
-    let router = create("nl-satmap");
-    for (label, parallelism) in [
-        ("serial", Parallelism::Serial),
-        ("width4", Parallelism::Width(4)),
-    ] {
-        group.bench_with_input(BenchmarkId::new(label, "fig3"), &circuit, |b, circ| {
-            b.iter(|| router.route_request(&route(circ, &graph).with_parallelism(parallelism)))
-        });
-    }
-    group.finish();
-}
-
-/// Adaptive dispatch: the feature-sized `Auto` width against a forced
-/// serial linear solve and a forced 4-wide portfolio race (both `Auto`
-/// strategy, which resolves to linear search on these unweighted
-/// instances), on one small family (fig3, below the small-instance gate
-/// — the dispatcher picks width 1, so `auto` must track `serial`) and one
-/// larger family.
-fn dispatch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dispatch");
-    group.sample_size(10);
-    let graph = arch::devices::tokyo_minus();
-    let router = create("nl-satmap");
-    let families = [
-        ("fig3", fig3()),
-        (
-            "random12",
-            circuit::generators::random_local(5, 12, 4, 0.1, 3),
-        ),
-    ];
-    let configs = [
-        ("auto", Parallelism::Auto, SearchStrategy::Auto),
-        ("serial", Parallelism::Serial, SearchStrategy::Linear),
-        ("width4", Parallelism::Width(4), SearchStrategy::Auto),
-    ];
-    for (family, circuit) in &families {
-        for (label, parallelism, strategy) in configs {
-            group.bench_with_input(BenchmarkId::new(label, family), circuit, |b, circ| {
-                b.iter(|| {
-                    router.route_request(
-                        &route(circ, &graph)
-                            .with_parallelism(parallelism)
-                            .with_strategy(strategy),
-                    )
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
 /// Warm-start re-routing (the encode/solve split): the mutate-one-gate
 /// Fig. 3 family routed three ways. `cold` encodes and solves each member
 /// from scratch; `warm` re-solves from a forked prior session (encoding
@@ -535,13 +392,9 @@ criterion_group!(
     q5_scaling,
     q6_noise,
     ablation_swaps_per_gap,
-    portfolio_race,
-    portfolio_width_request,
-    sharing_race,
     arena_clone_vs_reemit,
     maxsat_strategies,
     weighted_core,
-    dispatch,
     warmstart
 );
 

@@ -6,7 +6,7 @@
 //! regeneration lives in the `satmap-experiments` binary). After all
 //! groups run, the harness calls [`write_bench_json`] to emit
 //! `BENCH_satmap.json` — per-benchmark and per-group median nanoseconds
-//! plus the portfolio-vs-single speedup — so the perf trajectory is
+//! plus one Fig. 3 outcome row per router — so the perf trajectory is
 //! comparable PR-over-PR without parsing stdout.
 
 #![forbid(unsafe_code)]
@@ -54,11 +54,8 @@ pub fn fig3() -> Circuit {
 /// literals (`±(var+1)`), deterministic in `seed`.
 ///
 /// Every clause is satisfied by the planted assignment `x_i = (i % 7 !=
-/// 0)`, so the formula is guaranteed satisfiable — but a solver branching
-/// negative-first (the CDCL default phase) must refute many near-misses,
-/// while a positive-phase or randomized worker lands close to the model
-/// immediately. This is the classic workload where a *diversified*
-/// portfolio wins on variance, independent of core count.
+/// 0)`, so the formula is guaranteed satisfiable. The `arena` bench group
+/// loads it as its clone-vs-reemit template.
 pub fn planted_cnf(num_vars: usize, num_clauses: usize, seed: u64) -> Vec<Vec<i64>> {
     let planted = |v: usize| !v.is_multiple_of(7);
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -89,59 +86,6 @@ pub fn planted_cnf(num_vars: usize, num_clauses: usize, seed: u64) -> Vec<Vec<i6
         }
     }
     clauses
-}
-
-/// Pigeonhole clauses PHP(`pigeons`, `holes`) as DIMACS-style literals —
-/// UNSAT whenever `pigeons > holes`, and exponentially hard for
-/// resolution, which makes it the canonical conflict-heavy race for the
-/// clause-sharing benchmarks (every worker learns clauses worth sharing).
-pub fn pigeonhole_cnf(pigeons: usize, holes: usize) -> Vec<Vec<i64>> {
-    let var = |p: usize, h: usize| (p * holes + h + 1) as i64;
-    let mut clauses = Vec::new();
-    for p in 0..pigeons {
-        clauses.push((0..holes).map(|h| var(p, h)).collect());
-    }
-    for h in 0..holes {
-        for p1 in 0..pigeons {
-            for p2 in (p1 + 1)..pigeons {
-                clauses.push(vec![-var(p1, h), -var(p2, h)]);
-            }
-        }
-    }
-    clauses
-}
-
-/// An unsatisfiable formula that hides a small pigeonhole core inside a
-/// large planted-satisfiable 3-CNF camouflage region (variables are
-/// disjoint; the pigeonhole block is shifted past `vars`). Returns the
-/// clauses and the total variable count.
-///
-/// This is the family where clause sharing *pays*: refuting the instance
-/// means refuting PHP(`pigeons`, `pigeons-1`), but a diversified worker
-/// can wander the satisfiable camouflage first. The core's refutation
-/// lemmas are short, low-LBD, and speak only core variables, so the
-/// first worker to focus there exports lemmas that steer every peer out
-/// of the camouflage — cooperation with a measurable wall-clock win
-/// (unlike pure pigeonhole races, where all workers converge on the same
-/// conflicts anyway and the exchange only adds drain overhead).
-pub fn camouflaged_core_cnf(
-    vars: usize,
-    clauses: usize,
-    pigeons: usize,
-    seed: u64,
-) -> (Vec<Vec<i64>>, usize) {
-    let holes = pigeons - 1;
-    let mut cnf = planted_cnf(vars, clauses, seed);
-    let offset = vars as i64;
-    for clause in pigeonhole_cnf(pigeons, holes) {
-        cnf.push(
-            clause
-                .iter()
-                .map(|&d| if d > 0 { d + offset } else { d - offset })
-                .collect(),
-        );
-    }
-    (cnf, vars + pigeons * holes)
 }
 
 /// A weighted placement MaxSAT instance: pigeonhole exclusivity as hard
@@ -187,47 +131,6 @@ pub fn fig3_mutants() -> Vec<Circuit> {
     vec![base, swap_target, swap_middle]
 }
 
-/// Clause-sharing counters observed on one probe race (see
-/// [`sharing_probe`]); embedded in the bench report so the JSON records
-/// that the portfolio genuinely cooperates, not just races.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SharingProbe {
-    /// Learned clauses exported across all workers.
-    pub clauses_exported: u64,
-    /// Learned clauses imported across all workers.
-    pub clauses_imported: u64,
-    /// Clause-arena compactions across all workers.
-    pub compactions: u64,
-    /// Final summed arena footprint in bytes.
-    pub arena_bytes: u64,
-}
-
-/// Races a width-4 sharing portfolio on the pigeonhole family and returns
-/// the exchange counters. `clauses_imported` must come back nonzero — the
-/// CI schema check asserts it — because PHP(7,6) forces every worker
-/// through many restarts, each an import point.
-pub fn sharing_probe() -> SharingProbe {
-    use sat::{PortfolioBackend, ResourceBudget, SatBackend, SolveResult, Solver};
-    let mut portfolio = PortfolioBackend::<Solver>::with_width(4);
-    // PHP(7,6) sits far below the default sharing size gate; the probe
-    // exists to witness cooperation, so open the gate explicitly.
-    portfolio.set_sharing_min_instance_size(0);
-    portfolio.reserve_vars(7 * 6);
-    for clause in pigeonhole_cnf(7, 6) {
-        let lits: Vec<sat::Lit> = clause.iter().map(|&d| sat::Lit::from_dimacs(d)).collect();
-        portfolio.add_clause(&lits);
-    }
-    let result = portfolio.solve_under_assumptions(&[], &ResourceBudget::unlimited());
-    assert_eq!(result, SolveResult::Unsat, "PHP(7,6) is unsatisfiable");
-    let stats = *portfolio.stats();
-    SharingProbe {
-        clauses_exported: stats.clauses_exported,
-        clauses_imported: stats.clauses_imported,
-        compactions: stats.compactions,
-        arena_bytes: stats.arena_bytes,
-    }
-}
-
 /// Default output path of the bench report: `BENCH_satmap.json` at the
 /// workspace root (bench binaries run with the *package* directory as
 /// cwd, so a bare relative path would land in `crates/bench/`).
@@ -269,13 +172,9 @@ pub fn route_rows() -> Vec<String> {
 ///
 /// Layout: `benchmarks` maps every full benchmark id to its median ns;
 /// `groups` maps each group (the id segment before the first `/`) to the
-/// median over its members' medians; `portfolio_speedup` is
-/// `median(portfolio/single) / median(portfolio/portfolio4)` when the
-/// `portfolio` group ran (`> 1` means the portfolio was faster), else
-/// `null`; `sharing_telemetry` holds the [`sharing_probe`] exchange
-/// counters (nonzero `clauses_imported` is the cooperation witness CI
-/// checks); `routes` holds one Fig. 3 outcome row per registered router
-/// in the shared [`circuit::RouteOutcome::to_json`] schema.
+/// median over its members' medians; `routes` holds one Fig. 3 outcome
+/// row per registered router in the shared
+/// [`circuit::RouteOutcome::to_json`] schema.
 ///
 /// # Errors
 ///
@@ -284,17 +183,13 @@ pub fn write_bench_json() -> std::io::Result<std::path::PathBuf> {
     let results = criterion::take_results();
     let path = bench_json_path();
     let mut file = std::fs::File::create(&path)?;
-    file.write_all(render_report(&results, &route_rows(), &sharing_probe()).as_bytes())?;
+    file.write_all(render_report(&results, &route_rows()).as_bytes())?;
     Ok(path)
 }
 
 /// Renders the report (see [`write_bench_json`]) as a JSON string.
-pub fn render_report(
-    results: &[BenchResult],
-    route_rows: &[String],
-    sharing: &SharingProbe,
-) -> String {
-    let mut out = String::from("{\n  \"schema_version\": 1,\n  \"benchmarks\": {");
+pub fn render_report(results: &[BenchResult], route_rows: &[String]) -> String {
+    let mut out = String::from("{\n  \"schema_version\": 2,\n  \"benchmarks\": {");
     for (i, r) in results.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -326,39 +221,7 @@ pub fn render_report(
             medians[medians.len() / 2]
         ));
     }
-    out.push_str("\n  },\n  \"portfolio_speedup\": ");
-
-    let median_of = |prefix: &str| {
-        let mut ns: Vec<u128> = results
-            .iter()
-            .filter(|r| r.id.starts_with(prefix))
-            .map(|r| r.median_ns)
-            .collect();
-        ns.sort_unstable();
-        if ns.is_empty() {
-            None
-        } else {
-            Some(ns[ns.len() / 2])
-        }
-    };
-    match (
-        median_of("portfolio/single"),
-        median_of("portfolio/portfolio"),
-    ) {
-        (Some(single), Some(portfolio)) if portfolio > 0 => {
-            out.push_str(&format!("{:.3}", single as f64 / portfolio as f64));
-        }
-        _ => out.push_str("null"),
-    }
-    out.push_str(&format!(
-        ",\n  \"sharing_telemetry\": {{\"clauses_exported\": {}, \"clauses_imported\": {}, \
-         \"compactions\": {}, \"arena_bytes\": {}}}",
-        sharing.clauses_exported,
-        sharing.clauses_imported,
-        sharing.compactions,
-        sharing.arena_bytes
-    ));
-    out.push_str(",\n  \"routes\": [");
+    out.push_str("\n  },\n  \"routes\": [");
     for (i, row) in route_rows.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -391,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn report_includes_groups_and_speedup() {
+    fn report_includes_benchmarks_and_group_medians() {
         let results = vec![
             BenchResult {
                 id: "q1/satmap/fig3".into(),
@@ -402,51 +265,23 @@ mod tests {
                 median_ns: 10,
             },
             BenchResult {
-                id: "portfolio/single".into(),
-                median_ns: 400,
-            },
-            BenchResult {
-                id: "portfolio/portfolio4".into(),
-                median_ns: 100,
+                id: "solo".into(),
+                median_ns: 5,
             },
         ];
-        let probe = SharingProbe {
-            clauses_exported: 12,
-            clauses_imported: 7,
-            compactions: 1,
-            arena_bytes: 2048,
-        };
-        let json = render_report(&results, &[], &probe);
+        let json = render_report(&results, &[]);
         assert!(json.contains("\"q1/satmap/fig3\": 30"));
         assert!(json.contains("\"q1\": 30"), "group median of 10,30 is 30");
-        assert!(json.contains("\"portfolio_speedup\": 4.000"), "{json}");
-        assert!(json.contains("\"clauses_imported\": 7"), "{json}");
-        assert!(json.contains("\"arena_bytes\": 2048"), "{json}");
+        assert!(json.contains("\"solo\": 5"));
         // Minimal well-formedness: balanced braces, no trailing comma.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(!json.contains(",\n  }"));
     }
 
     #[test]
-    fn report_without_portfolio_group_is_null_speedup() {
-        let json = render_report(
-            &[BenchResult {
-                id: "solo".into(),
-                median_ns: 5,
-            }],
-            &[],
-            &SharingProbe::default(),
-        );
-        assert!(json.contains("\"portfolio_speedup\": null"));
-        assert!(json.contains("\"solo\": 5"));
-    }
-
-    #[test]
     fn empty_report_is_valid() {
-        let json = render_report(&[], &[], &SharingProbe::default());
+        let json = render_report(&[], &[]);
         assert!(json.contains("\"benchmarks\": {\n  }"));
-        assert!(json.contains("\"portfolio_speedup\": null"));
-        assert!(json.contains("\"sharing_telemetry\""));
         assert!(json.contains("\"routes\": [\n  ]"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
@@ -463,46 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn camouflaged_core_cnf_is_unsat_via_the_buried_core() {
-        let (cnf, num_vars) = camouflaged_core_cnf(60, 240, 4, 3);
-        // Camouflage clauses + 4 at-least-one rows + 3 * C(4,2) pairs.
-        assert_eq!(cnf.len(), 240 + 4 + 3 * 6);
-        assert_eq!(num_vars, 60 + 4 * 3);
-        assert!(cnf
-            .iter()
-            .all(|c| c.iter().all(|&l| l.unsigned_abs() as usize <= num_vars)));
-        let mut solver = sat::Solver::new();
-        solver.reserve_vars(num_vars);
-        for clause in &cnf {
-            solver.add_clause(clause.iter().map(|&d| sat::Lit::from_dimacs(d)));
-        }
-        assert_eq!(
-            solver.solve_under_assumptions(&[], &sat::ResourceBudget::unlimited()),
-            sat::SolveResult::Unsat,
-            "the pigeonhole block is untouched by the camouflage"
-        );
-    }
-
-    #[test]
-    fn pigeonhole_cnf_has_expected_shape() {
-        let cnf = pigeonhole_cnf(3, 2);
-        // 3 at-least-one rows + 2 * C(3,2) exclusivity pairs.
-        assert_eq!(cnf.len(), 3 + 2 * 3);
-        assert!(cnf.iter().all(|c| !c.is_empty()));
-    }
-
-    #[test]
-    fn sharing_probe_observes_cooperation() {
-        let probe = sharing_probe();
-        assert!(probe.clauses_exported > 0, "{probe:?}");
-        assert!(
-            probe.clauses_imported > 0,
-            "the pigeonhole race must import shared clauses: {probe:?}"
-        );
-        assert!(probe.arena_bytes > 0, "{probe:?}");
-    }
-
-    #[test]
     fn route_rows_cover_every_registered_router() {
         let rows = route_rows();
         assert_eq!(
@@ -513,7 +308,7 @@ mod tests {
             assert!(row.starts_with("{\"router\":\""), "{row}");
             assert_eq!(row.matches('{').count(), row.matches('}').count());
         }
-        let json = render_report(&[], &rows, &SharingProbe::default());
+        let json = render_report(&[], &rows);
         assert!(json.contains("\"routes\": [\n    {\"router\":"));
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }

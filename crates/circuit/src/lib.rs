@@ -42,8 +42,8 @@ pub mod verify;
 pub use circuit::Circuit;
 pub use gate::{Gate, OneQubitKind, Qubit, TwoQubitKind};
 pub use request::{
-    escape_json, Objective, Parallelism, RepeatedStructure, RouteOutcome, RouteQuality,
-    RouteRequest, RouteSpec, SearchStrategy, Slicing,
+    escape_json, Objective, RepeatedStructure, RouteOutcome, RouteQuality, RouteRequest, RouteSpec,
+    SearchStrategy, Slicing,
 };
 pub use routed::{RoutedCircuit, RoutedOp};
 pub use router::{RouteError, Router};

@@ -4,7 +4,7 @@
 //!
 //! * [`RouteRequest`] — *what to route and under which resources*: the
 //!   circuit, the device graph, and a [`RouteSpec`] of per-request knobs
-//!   (budget, objective, slicing, encoding quantization, parallelism hint,
+//!   (budget, objective, slicing, encoding quantization, search strategy,
 //!   and an optional repeated-structure declaration);
 //! * [`RouteOutcome`] — *what happened*: the routed circuit or a typed
 //!   [`RouteError`], always together with the [`sat::SolverTelemetry`]
@@ -15,23 +15,22 @@
 //! router: the same boxed [`crate::Router`] can serve an unlimited
 //! interactive request and a 2-second sweep request back to back. The
 //! budget threads unchanged through every nested MaxSAT and SAT call (see
-//! [`sat::ResourceBudget`]), and the parallelism hint sizes the SAT
-//! portfolio at request time from [`std::thread::available_parallelism`].
+//! [`sat::ResourceBudget`]). A request is routed on the thread that
+//! serves it; callers that want more cores busy route more requests at
+//! once.
 //!
 //! # Examples
 //!
 //! ```
-//! use circuit::{Circuit, RouteRequest, Parallelism};
+//! use circuit::{Circuit, RouteRequest};
 //! use std::time::Duration;
 //!
 //! let mut c = Circuit::new(2);
 //! c.cx(0, 1);
 //! let g = arch::devices::linear(2);
-//! let request = RouteRequest::new(&c, &g)
-//!     .with_budget(Duration::from_secs(2))
-//!     .with_parallelism(Parallelism::Auto);
+//! let request = RouteRequest::new(&c, &g).with_budget(Duration::from_secs(2));
 //! assert!(request.validate().is_ok());
-//! assert!(request.parallelism().resolve() >= 1);
+//! assert_eq!(request.budget().remaining_time(), Some(Duration::from_secs(2)));
 //! ```
 
 use std::time::{Duration, Instant};
@@ -69,8 +68,6 @@ pub enum Slicing {
     Sliced(usize),
 }
 
-pub use sat::MAX_AUTO_WIDTH;
-
 /// Which MaxSAT search strategy the SAT-based routers run per request
 /// (pure heuristics ignore it). Mirrors `maxsat::Strategy` without a
 /// dependency on the engine crate.
@@ -87,42 +84,6 @@ pub enum SearchStrategy {
     Linear,
     /// OLL-style core-guided lower-bounding search.
     CoreGuided,
-}
-
-/// How many diversified SAT workers a request may race per solver call.
-///
-/// The width is resolved when the router acts on the request, not when the
-/// router is built — so one process can serve wide interactive requests
-/// and narrow ones from an already-saturated suite sweep.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Parallelism {
-    /// One worker, no racing (deterministic wall-clock, least overhead).
-    #[default]
-    Serial,
-    /// Size the portfolio from [`std::thread::available_parallelism`],
-    /// divided by the `SATMAP_JOBS` worker count when an experiment sweep
-    /// already saturates the cores, and clamped to [`MAX_AUTO_WIDTH`].
-    Auto,
-    /// Exactly this many workers (clamped to at least 1).
-    Width(usize),
-}
-
-impl Parallelism {
-    /// The concrete worker count this hint resolves to right now.
-    pub fn resolve(&self) -> usize {
-        match *self {
-            Parallelism::Serial => 1,
-            Parallelism::Width(w) => w.max(1),
-            Parallelism::Auto => sat::auto_width(),
-        }
-    }
-
-    /// Automatic width when `jobs` route calls run concurrently: the
-    /// available cores split across jobs, clamped to `1..=`
-    /// [`MAX_AUTO_WIDTH`] (see [`sat::auto_width_for_jobs`]).
-    pub fn auto_for_jobs(jobs: usize) -> usize {
-        sat::auto_width_for_jobs(jobs)
-    }
 }
 
 /// Declares that the request's circuit is `prefix ; C ; C ; … ; C`: a
@@ -169,8 +130,6 @@ pub struct RouteSpec {
     /// Override of the MaxSAT totalizer weight quantization (see
     /// `maxsat::SolveOptions::totalizer_units`).
     pub totalizer_units: Option<u64>,
-    /// How many diversified SAT workers to race per solver call.
-    pub parallelism: Parallelism,
     /// Which MaxSAT search strategy drives the optimization.
     pub strategy: SearchStrategy,
     /// Repeated-structure declaration for cyclic-aware routers.
@@ -247,13 +206,6 @@ impl<'a> RouteRequest<'a> {
         self
     }
 
-    /// Sets the parallelism hint.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.spec.parallelism = parallelism;
-        self
-    }
-
     /// Sets the MaxSAT search strategy.
     #[must_use]
     pub fn with_strategy(mut self, strategy: SearchStrategy) -> Self {
@@ -314,11 +266,6 @@ impl<'a> RouteRequest<'a> {
     /// The totalizer quantization override.
     pub fn totalizer_units(&self) -> Option<u64> {
         self.spec.totalizer_units
-    }
-
-    /// The parallelism hint.
-    pub fn parallelism(&self) -> Parallelism {
-        self.spec.parallelism
     }
 
     /// The MaxSAT search strategy.
@@ -432,8 +379,8 @@ impl<'a> RouteRequest<'a> {
     /// error rates under [`Objective::Fidelity`] — slicing, swaps per gap,
     /// totalizer quantization, search strategy, repetition).
     ///
-    /// The budget, the parallelism hint, and the correlation
-    /// [`RouteSpec::request_id`] are deliberately **excluded**: they change
+    /// The budget and the correlation [`RouteSpec::request_id`] are
+    /// deliberately **excluded**: they change
     /// how long the answer takes (or how it is logged), not what it is, so
     /// a request retried with a bigger budget or resubmitted under a new
     /// server id maps to the same cache key (and can warm-start from the
@@ -806,8 +753,6 @@ impl RouteOutcome {
         out.push_str(&format!(",\"propagations\":{}", t.propagations));
         out.push_str(&format!(",\"restarts\":{}", t.restarts));
         out.push_str(&format!(",\"db_reductions\":{}", t.db_reductions));
-        out.push_str(&format!(",\"clauses_exported\":{}", t.clauses_exported));
-        out.push_str(&format!(",\"clauses_imported\":{}", t.clauses_imported));
         out.push_str(&format!(",\"compactions\":{}", t.compactions));
         out.push_str(&format!(",\"arena_bytes\":{}", t.arena_bytes));
         match t.request_id {
@@ -824,16 +769,10 @@ impl RouteOutcome {
         out.push_str(&format!(",\"solve_s\":{:.6}", t.solve_time.as_secs_f64()));
         out.push_str(&format!(",\"slices\":{}", t.slices));
         out.push_str(&format!(",\"backtracks\":{}", t.backtracks));
-        match t.winning_worker {
-            Some(w) => out.push_str(&format!(",\"winning_worker\":{w}")),
-            None => out.push_str(",\"winning_worker\":null"),
-        }
         match t.strategy {
             Some(s) => out.push_str(&format!(",\"strategy\":\"{}\"", escape_json(s))),
             None => out.push_str(",\"strategy\":null"),
         }
-        out.push_str(&format!(",\"dispatch_width\":{}", t.dispatch_width));
-        out.push_str(&format!(",\"dispatch_hardness\":{}", t.dispatch_hardness));
         out.push_str(&format!(",\"strata\":{}", t.strata));
         out.push_str(&format!(",\"exhaustion_steps\":{}", t.exhaustion_steps));
         out.push_str(&format!(",\"hardened_softs\":{}", t.hardened_softs));
@@ -888,12 +827,10 @@ mod tests {
             .with_objective(Objective::SwapCount)
             .with_slicing(Slicing::Sliced(5))
             .with_swaps_per_gap(2)
-            .with_totalizer_units(100)
-            .with_parallelism(Parallelism::Width(3));
+            .with_totalizer_units(100);
         assert_eq!(req.slicing(), Slicing::Sliced(5));
         assert_eq!(req.swaps_per_gap(), Some(2));
         assert_eq!(req.totalizer_units(), Some(100));
-        assert_eq!(req.parallelism().resolve(), 3);
         assert_eq!(
             req.budget().remaining_time(),
             Some(Duration::from_secs(1)),
@@ -994,18 +931,6 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_resolution_is_bounded() {
-        assert_eq!(Parallelism::Serial.resolve(), 1);
-        assert_eq!(Parallelism::Width(0).resolve(), 1);
-        assert_eq!(Parallelism::Width(5).resolve(), 5);
-        let auto = Parallelism::Auto.resolve();
-        assert!((1..=MAX_AUTO_WIDTH).contains(&auto));
-        // Saturating the machine with jobs shrinks the portfolio.
-        assert_eq!(Parallelism::auto_for_jobs(usize::MAX), 1);
-        assert!(Parallelism::auto_for_jobs(1) >= Parallelism::auto_for_jobs(4));
-    }
-
-    #[test]
     fn outcome_accessors_and_json() {
         let routed = RoutedCircuit::new(vec![0, 1], vec![RoutedOp::Logical(0)]);
         let outcome = RouteOutcome::new(
@@ -1023,8 +948,6 @@ mod tests {
         assert!(json.contains("\"router\":\"satmap\""));
         assert!(json.contains("\"solved\":true"));
         assert!(json.contains("\"error\":null"));
-        assert!(json.contains("\"dispatch_width\":0"));
-        assert!(json.contains("\"dispatch_hardness\":0"));
         assert!(json.contains("\"diagnostics\":{\"slice\":\"25\"}"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
@@ -1158,12 +1081,12 @@ mod tests {
         let base = RouteRequest::new(&c, &g).fingerprint();
         assert_eq!(base, RouteRequest::new(&c, &g).fingerprint());
         // Latency-only knobs do not perturb the key: a retried request
-        // with a bigger budget or a different width hits the same entry.
+        // with a bigger budget or a new correlation id hits the same entry.
         assert_eq!(
             base,
             RouteRequest::new(&c, &g)
                 .with_budget(Duration::from_secs(9))
-                .with_parallelism(Parallelism::Width(4))
+                .with_request_id(7)
                 .fingerprint()
         );
     }

@@ -4,7 +4,7 @@
 //!
 //! Routers are *request-driven*: the single entry point
 //! [`Router::route_request`] takes a [`RouteRequest`] (circuit + device +
-//! per-request budget/objective/parallelism knobs) and answers with a
+//! per-request budget/objective/strategy knobs) and answers with a
 //! [`RouteOutcome`] (routed circuit or typed failure, always with
 //! telemetry and wall-clock timing). The trait is dyn-safe, so harnesses
 //! dispatch through `Box<dyn Router>` — typically obtained from a router

@@ -13,8 +13,8 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use circuit::{verify::verify, Parallelism, RouteRequest, Router};
-use satmap::{PortfolioSatMap, SatMapConfig};
+use circuit::{verify::verify, RouteRequest, Router};
+use satmap::{SatMap, SatMapConfig};
 
 struct Options {
     input: String,
@@ -124,12 +124,9 @@ fn main() -> ExitCode {
         slice_size: options.slice,
         ..SatMapConfig::default()
     };
-    // Portfolio-capable backend so the Auto parallelism hint below can
-    // actually race workers (a plain DefaultBackend would ignore it).
-    let router = PortfolioSatMap::with_backend(config);
-    let request = RouteRequest::new(&logical, &graph)
-        .with_budget(Duration::from_millis(options.budget_ms))
-        .with_parallelism(Parallelism::Auto);
+    let router = SatMap::new(config);
+    let request =
+        RouteRequest::new(&logical, &graph).with_budget(Duration::from_millis(options.budget_ms));
     let start = std::time::Instant::now();
     let outcome = router.route_request(&request);
     let routed = match outcome.into_result() {

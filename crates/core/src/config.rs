@@ -6,26 +6,26 @@
 //! request ([`circuit::RouteSpec`]), so one router instance serves
 //! different budgets/objectives call by call.
 
-use circuit::{Objective, Parallelism, RouteRequest, SearchStrategy, Slicing};
+use circuit::{Objective, RouteRequest, SearchStrategy, Slicing};
 use sat::ResourceBudget;
 
 /// Maps the request-level strategy knob onto the MaxSAT engine's enum
 /// (the `circuit` crate cannot name `maxsat` types). `Auto` — the
-/// request default — resolves from the instance features per solver
-/// call: an objective dominated by weighted softs (fidelity mode) runs
-/// the stratified core-guided search (see
-/// [`maxsat::dispatch::prefers_core`]), everything else — in particular
-/// every unweighted swap-count request — runs the paper's linear
-/// search, byte-identical to an explicit [`SearchStrategy::Linear`].
+/// request default — resolves from the instance's soft clauses per
+/// solver call: an objective dominated by weighted softs (fidelity mode)
+/// runs the stratified core-guided search (see [`prefers_core`]),
+/// everything else — in particular every unweighted swap-count request —
+/// runs the paper's linear search, byte-identical to an explicit
+/// [`SearchStrategy::Linear`].
 pub(crate) fn engine_strategy(
     strategy: SearchStrategy,
-    features: &maxsat::InstanceFeatures,
+    softs: &[maxsat::SoftClause],
 ) -> maxsat::Strategy {
     match strategy {
         SearchStrategy::Linear => maxsat::Strategy::LinearSatUnsat,
         SearchStrategy::CoreGuided => maxsat::Strategy::CoreGuided,
         SearchStrategy::Auto => {
-            if maxsat::dispatch::prefers_core(features) {
+            if prefers_core(softs) {
                 maxsat::Strategy::CoreGuided
             } else {
                 maxsat::Strategy::LinearSatUnsat
@@ -34,15 +34,18 @@ pub(crate) fn engine_strategy(
     }
 }
 
-/// Maps the request-level parallelism knob onto the dispatcher's width
-/// hint: `Serial` and `Width(n)` pin the total worker count, `Auto` lets
-/// the instance features decide.
-pub(crate) fn width_hint(parallelism: Parallelism) -> maxsat::WidthHint {
-    match parallelism {
-        Parallelism::Serial => maxsat::WidthHint::Forced(1),
-        Parallelism::Width(n) => maxsat::WidthHint::Forced(n.max(1)),
-        Parallelism::Auto => maxsat::WidthHint::Auto,
-    }
+/// True when the weight-stratified core-guided search is the better
+/// single-strategy bet: a *weighted* objective, with at least as many
+/// weighted softs (weight other than 1) as unweighted ones. On such
+/// instances the linear search must build (and repeatedly extend) a
+/// generalized totalizer over every weighted soft — the dominant cost on
+/// the fidelity objective (measured ~7x slower than stratified
+/// core-guided on `q6_noise/fidelity`) — while core-guided relaxations
+/// stay core-local. Unweighted objectives keep the linear default: models
+/// come easily and the counting totalizer is cheap.
+pub(crate) fn prefers_core(softs: &[maxsat::SoftClause]) -> bool {
+    let weighted = softs.iter().filter(|s| s.weight != 1).count();
+    weighted > 0 && 2 * weighted >= softs.len()
 }
 
 /// Construction-time defaults of the SATMAP router.
@@ -131,19 +134,14 @@ impl SatMapConfig {
             swaps_per_gap: request.swaps_per_gap().unwrap_or(self.swaps_per_gap).max(1),
             backtrack_limit: self.backtrack_limit,
             objective: request.objective().clone(),
-            // Strategy and portfolio width are left featureless here: the
-            // instance-feature dispatcher resolves both into a concrete
-            // worker plan per solver call (see [`Resolved::options_for`]),
-            // so `Auto` parallelism can solve small encodings inline and
-            // `Auto` strategy can pick core-guided for weighted instances.
+            // The strategy is resolved without an instance here (`Auto`
+            // reads as linear); [`Resolved::options_for`] re-resolves it
+            // per solver call, so `Auto` can pick core-guided for
+            // weighted instances.
             options: maxsat::SolveOptions::default()
                 .with_totalizer_units(request.totalizer_units().unwrap_or(self.totalizer_units))
-                .with_strategy(engine_strategy(
-                    request.strategy(),
-                    &maxsat::InstanceFeatures::default(),
-                )),
+                .with_strategy(engine_strategy(request.strategy(), &[])),
             strategy: request.strategy(),
-            parallelism: request.parallelism(),
             budget: request.budget().clone(),
         }
     }
@@ -158,45 +156,38 @@ pub(crate) struct Resolved {
     pub backtrack_limit: usize,
     pub objective: Objective,
     pub options: maxsat::SolveOptions,
-    /// The request-level strategy knob, kept alongside the featureless
-    /// `options.strategy` so [`Resolved::options_for`] can re-resolve
-    /// `Auto` once the instance features are known.
+    /// The request-level strategy knob, kept alongside the
+    /// instance-free `options.strategy` so [`Resolved::options_for`] can
+    /// re-resolve `Auto` once the instance is built.
     pub strategy: SearchStrategy,
-    pub parallelism: Parallelism,
     pub budget: ResourceBudget,
 }
 
 impl Resolved {
-    /// The engine options for one solver call: the shared knobs, the
-    /// strategy `Auto` resolves to for these features, and the portfolio
-    /// width the instance-feature dispatcher resolves the parallelism hint
-    /// to (see [`maxsat::dispatch`]).
-    ///
-    /// `Serial` and `Width(n)` pin the worker count; `Auto` lets the
-    /// features decide.
-    pub fn options_for(&self, features: maxsat::InstanceFeatures) -> maxsat::SolveOptions {
-        let plan = maxsat::dispatch::plan(&features, width_hint(self.parallelism));
+    /// The engine options for one solver call on `instance`: the shared
+    /// knobs plus the strategy `Auto` resolves to for its soft clauses.
+    pub fn options_for(&self, instance: &maxsat::WcnfInstance) -> maxsat::SolveOptions {
         self.options
-            .with_strategy(engine_strategy(self.strategy, &features))
-            .with_portfolio_width(plan.width)
-    }
-
-    /// [`Resolved::options_for`] when only the instance size (variables +
-    /// clauses) is known — the features carry just that signal.
-    #[cfg(test)]
-    pub fn options_for_instance(&self, instance_size: usize) -> maxsat::SolveOptions {
-        self.options_for(maxsat::InstanceFeatures {
-            vars: instance_size,
-            ..maxsat::InstanceFeatures::default()
-        })
+            .with_strategy(engine_strategy(self.strategy, instance.soft_clauses()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use circuit::{Circuit, Parallelism};
+    use circuit::Circuit;
     use std::time::Duration;
+
+    /// `unit` softs of weight 1 followed by `weighted` softs of weight 5.
+    fn softs(unit: usize, weighted: usize) -> Vec<maxsat::SoftClause> {
+        let lit = sat::Var::new(0).positive();
+        (0..unit + weighted)
+            .map(|i| maxsat::SoftClause {
+                weight: if i < unit { 1 } else { 5 },
+                lits: vec![lit],
+            })
+            .collect()
+    }
 
     #[test]
     fn defaults_match_paper() {
@@ -227,8 +218,6 @@ mod tests {
         let plain = config.resolve(&RouteRequest::new(&c, &g));
         assert_eq!(plain.slice_size, Some(25));
         assert_eq!(plain.swaps_per_gap, 1);
-        assert_eq!(plain.parallelism, Parallelism::Serial);
-        assert_eq!(plain.options_for_instance(10).portfolio_width, Some(1));
         assert_eq!(plain.options.totalizer_units, 4000);
         assert!(!plain.budget.is_limited());
 
@@ -237,28 +226,23 @@ mod tests {
             .with_slicing(Slicing::Monolithic)
             .with_swaps_per_gap(2)
             .with_totalizer_units(7)
-            .with_parallelism(Parallelism::Width(3))
             .with_strategy(circuit::SearchStrategy::CoreGuided);
         let r = config.resolve(&req);
         assert_eq!(r.slice_size, None);
         assert_eq!(r.swaps_per_gap, 2);
-        assert_eq!(r.parallelism, Parallelism::Width(3));
         assert_eq!(r.options.totalizer_units, 7);
-        // An explicit width forces itself regardless of instance size.
-        assert_eq!(r.options_for_instance(10).portfolio_width, Some(3));
         assert_eq!(r.options.strategy, maxsat::Strategy::CoreGuided);
         assert_eq!(r.budget.remaining_time(), Some(Duration::from_secs(3)));
     }
 
     #[test]
     fn strategy_knob_maps_onto_engine_enum() {
-        let plain = maxsat::InstanceFeatures::default();
         assert_eq!(
-            engine_strategy(SearchStrategy::Linear, &plain),
+            engine_strategy(SearchStrategy::Linear, &[]),
             maxsat::Strategy::LinearSatUnsat
         );
         assert_eq!(
-            engine_strategy(SearchStrategy::CoreGuided, &plain),
+            engine_strategy(SearchStrategy::CoreGuided, &[]),
             maxsat::Strategy::CoreGuided
         );
         assert_eq!(SearchStrategy::default(), SearchStrategy::Auto);
@@ -269,28 +253,26 @@ mod tests {
         // Unweighted (swap-count) instances keep the paper's linear
         // search; weighted-soft-dominated (fidelity) instances get the
         // stratified core-guided search.
-        let unweighted = maxsat::InstanceFeatures {
-            soft_clauses: 10,
-            weighted_softs: 0,
-            ..maxsat::InstanceFeatures::default()
-        };
         assert_eq!(
-            engine_strategy(SearchStrategy::Auto, &unweighted),
+            engine_strategy(SearchStrategy::Auto, &softs(10, 0)),
             maxsat::Strategy::LinearSatUnsat
         );
-        let weighted = maxsat::InstanceFeatures {
-            soft_clauses: 10,
-            weighted_softs: 9,
-            ..maxsat::InstanceFeatures::default()
-        };
         assert_eq!(
-            engine_strategy(SearchStrategy::Auto, &weighted),
+            engine_strategy(SearchStrategy::Auto, &softs(1, 9)),
             maxsat::Strategy::CoreGuided
         );
-        // An explicit knob is never second-guessed by the features.
+        // An explicit knob is never second-guessed by the softs.
         assert_eq!(
-            engine_strategy(SearchStrategy::Linear, &weighted),
+            engine_strategy(SearchStrategy::Linear, &softs(1, 9)),
             maxsat::Strategy::LinearSatUnsat
         );
+    }
+
+    #[test]
+    fn prefers_core_tracks_the_weighted_soft_share() {
+        assert!(!prefers_core(&softs(10, 0)));
+        assert!(prefers_core(&softs(5, 5)), "half weighted is enough");
+        assert!(!prefers_core(&softs(6, 4)));
+        assert!(!prefers_core(&[]), "no softs");
     }
 }

@@ -201,7 +201,7 @@ impl<B: SatBackend + Default + Send> CyclicSatMap<B> {
             );
             enc.require_cyclic();
             telemetry.encode_time += encode_start.elapsed();
-            let options = p.options_for(crate::solver::instance_features(&enc));
+            let options = p.options_for(enc.instance());
             let out = maxsat::solve_with_options::<B>(enc.instance(), budget, &options);
             telemetry.absorb(&out.telemetry);
             proof.observe(&out);
@@ -231,7 +231,6 @@ impl<B: SatBackend + Default + Send> CyclicSatMap<B> {
             // deadline and cannot extend it.
             budget: budget.clone(),
             objective: p.objective.clone(),
-            parallelism: p.parallelism,
             ..RouteSpec::default()
         };
         let inner_request = RouteRequest::with_spec(sub, graph, spec);
@@ -298,7 +297,7 @@ impl<B: SatBackend + Default + Send> CyclicSatMap<B> {
             enc.pin_initial_map(from);
             enc.pin_final_map(to);
             telemetry.encode_time += encode_start.elapsed();
-            let options = p.options_for(crate::solver::instance_features(&enc));
+            let options = p.options_for(enc.instance());
             let out = maxsat::solve_with_options::<B>(enc.instance(), budget, &options);
             telemetry.absorb(&out.telemetry);
             proof.observe(&out);
@@ -339,13 +338,8 @@ impl<B: SatBackend + Default + Send> Router for CyclicSatMap<B> {
         let mut proof = Proof::new();
         let outcome =
             RouteOutcome::capture(self.name(), || self.route_impl(request, &p, &mut proof));
-        let width = match outcome.telemetry().dispatch_width {
-            0 => p.parallelism.resolve(),
-            w => w as usize,
-        };
         crate::solver::stamp_quality(outcome, &proof)
             .with_diagnostic("cycles", request.repetition().map_or(1, |r| r.cycles))
-            .with_diagnostic("portfolio_width", width)
     }
 }
 

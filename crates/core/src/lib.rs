@@ -14,10 +14,13 @@
 //!   of §Q6, selected per request.
 //!
 //! All routers serve the request-driven [`circuit::Router`] interface:
-//! budgets, objectives, slicing, and the SAT-portfolio width are
+//! budgets, objectives, slicing, and the MaxSAT search strategy are
 //! properties of each [`circuit::RouteRequest`], and every call answers
 //! with a [`circuit::RouteOutcome`] carrying telemetry and wall-clock
-//! timing. Solutions can be checked with the independent verifier in
+//! timing. Each request is solved on the thread that routes it, by one
+//! sequential anytime MaxSAT search, as in the paper; parallelism comes
+//! from routing several requests at once (the experiment runner's
+//! `--jobs`, the daemon's worker pool). Solutions can be checked with the independent verifier in
 //! [`circuit::verify`].
 //!
 //! # Examples
@@ -55,12 +58,4 @@ pub use artifact::{EncodedArtifact, RouteSession};
 pub use circuit::Objective;
 pub use config::SatMapConfig;
 pub use cyclic::CyclicSatMap;
-pub use solver::{encoding_estimate, plan_ceiling, planned_width, SatMap, ENCODING_GUARD_LIMIT};
-
-/// SATMAP over a diversified SAT portfolio: every MaxSAT call can race
-/// multiple differently-configured CDCL workers and takes the first
-/// definitive answer (see [`sat::PortfolioBackend`]). The width is chosen
-/// per request from [`circuit::Parallelism`] — `Serial` solves inline,
-/// `Auto` sizes from the machine. Costs match [`SatMap`] — only the
-/// wall-clock route to them differs.
-pub type PortfolioSatMap = SatMap<sat::PortfolioBackend<sat::DefaultBackend>>;
+pub use solver::{encoding_estimate, SatMap, ENCODING_GUARD_LIMIT};

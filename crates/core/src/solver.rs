@@ -8,8 +8,9 @@
 //! [`sat::ResourceBudget`] is armed when routing starts and its deadline
 //! is inherited by every MaxSAT and SAT call below, so nested solver work
 //! can never overshoot the routing request's allowance; its objective,
-//! slicing, and parallelism knobs override the construction-time
-//! [`SatMapConfig`] defaults. Solver effort is aggregated into the
+//! slicing, and strategy knobs override the construction-time
+//! [`SatMapConfig`] defaults. Every MaxSAT call runs on the calling
+//! thread. Solver effort is aggregated into the
 //! returned [`circuit::RouteOutcome`].
 
 use std::marker::PhantomData;
@@ -93,43 +94,6 @@ struct SliceState {
 
 /// How many slice encodings stay resident for backtracking.
 const ENCODING_WINDOW: usize = 4;
-
-/// The dispatch features of a built encoding: the exact WCNF counts the
-/// instance-feature dispatcher sizes the worker plan from (see
-/// [`maxsat::dispatch`]).
-pub(crate) fn instance_features(enc: &QmrEncoding) -> maxsat::InstanceFeatures {
-    maxsat::InstanceFeatures::of(enc.instance())
-}
-
-/// The total worker count the instance-feature dispatcher would resolve
-/// for `circuit` on `graph` *before* any encoding is built: the features
-/// carry only the O(1) [`encoding_estimate`], so admission control can
-/// price a request's parallelism without paying the encode cost. The
-/// post-encode dispatch re-decides from the exact counts, but never
-/// exceeds a forced hint, so this is a safe multiplier for capacity
-/// planning.
-pub fn planned_width(
-    circuit: &Circuit,
-    graph: &ConnectivityGraph,
-    parallelism: circuit::Parallelism,
-    swaps_per_gap: usize,
-) -> usize {
-    let estimate = encoding_estimate(circuit, graph, swaps_per_gap);
-    let features = maxsat::InstanceFeatures::default().with_encoding_estimate(estimate);
-    maxsat::dispatch::plan(&features, crate::config::width_hint(parallelism)).width
-}
-
-/// The widest worker plan the dispatcher can resolve under `parallelism`
-/// — the per-request core occupancy a capacity planner must assume
-/// without seeing the instance (the dispatcher only ever *narrows* from
-/// here as instances get easier).
-pub fn plan_ceiling(parallelism: circuit::Parallelism) -> usize {
-    let hardest = maxsat::InstanceFeatures {
-        vars: maxsat::dispatch::MEDIUM_INSTANCE as usize,
-        ..maxsat::InstanceFeatures::default()
-    };
-    maxsat::dispatch::plan(&hardest, crate::config::width_hint(parallelism)).width
-}
 
 /// Ceiling on [`encoding_estimate`] above which a *budgeted* request is
 /// shed before any encoding is paid for (the analogue of the paper's 5 GB
@@ -266,8 +230,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
     }
 
     /// One MaxSAT call on the generic backend, charging effort to
-    /// `telemetry`. The portfolio width is resolved against the instance
-    /// size, so `Parallelism::Auto` solves small encodings inline.
+    /// `telemetry`.
     fn solve_instance(
         &self,
         enc: &QmrEncoding,
@@ -275,7 +238,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
         budget: &ResourceBudget,
         telemetry: &mut SolverTelemetry,
     ) -> maxsat::MaxSatOutcome {
-        let options = p.options_for(instance_features(enc));
+        let options = p.options_for(enc.instance());
         let out = maxsat::solve_with_options::<B>(enc.instance(), budget, &options);
         telemetry.absorb(&out.telemetry);
         out
@@ -414,7 +377,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
     /// prebuilt artifact, warm-starting from — and re-depositing — the
     /// engine session in `session`. `request` must be the request the
     /// artifact was encoded from (checked by fingerprint); its budget and
-    /// parallelism knobs still apply per call, so the same artifact can be
+    /// strategy knobs still apply per call, so the same artifact can be
     /// re-solved under a bigger budget.
     pub fn solve_artifact(
         &self,
@@ -435,7 +398,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
                 );
             }
             let budget = p.budget.arm();
-            let options = p.options_for(instance_features(artifact.encoding()));
+            let options = p.options_for(artifact.instance());
             let out =
                 maxsat::solve_with_session::<B>(artifact.instance(), &budget, &options, session);
             telemetry.absorb(&out.telemetry);
@@ -490,7 +453,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
             },
         };
         let budget = p.budget.arm();
-        let options = p.options_for(instance_features(artifact.encoding()));
+        let options = p.options_for(artifact.instance());
         let out =
             maxsat::solve_with_session::<B>(artifact.instance(), &budget, &options, &mut session);
         telemetry.absorb(&out.telemetry);
@@ -504,22 +467,14 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
     }
 
     /// The diagnostics every SATMAP outcome carries, regardless of which
-    /// entry point produced it. The reported width is the one the
-    /// dispatcher actually resolved (peak across the call tree); outcomes
-    /// that never reached a solver call (validation errors, admission
-    /// shedding) fall back to the request-level hint.
+    /// entry point produced it.
     fn stamp_diagnostics(&self, outcome: RouteOutcome, p: &Resolved) -> RouteOutcome {
-        let width = match outcome.telemetry().dispatch_width {
-            0 => p.parallelism.resolve(),
-            w => w as usize,
-        };
         outcome
             .with_diagnostic(
                 "slice_size",
                 p.slice_size.map_or("none".into(), |s| s.to_string()),
             )
             .with_diagnostic("swaps_per_gap", p.swaps_per_gap)
-            .with_diagnostic("portfolio_width", width)
             .with_diagnostic("strategy", p.options.strategy.name())
     }
 
@@ -529,11 +484,6 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
     /// deepening*: rebuild the stuck slice with more swap slots before its
     /// first gate, which can always absorb a bad entry map and therefore
     /// keeps the relaxation complete.
-    ///
-    /// Every slice solves on one worker, whatever the request's
-    /// parallelism: a slice's optimum is rarely unique, and its final map
-    /// pins the next slice, so the model a racing portfolio happened to
-    /// return first would steer the total cost by thread timing.
     #[allow(clippy::too_many_arguments)]
     fn route_sliced(
         &self,
@@ -545,10 +495,6 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
         telemetry: &mut SolverTelemetry,
         proof: &mut Proof,
     ) -> Result<RoutedCircuit, RouteError> {
-        let p = &Resolved {
-            parallelism: circuit::Parallelism::Serial,
-            ..p.clone()
-        };
         let slices = circuit.slices(slice_size);
         let n = p.swaps_per_gap;
 
@@ -654,7 +600,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
                         let retry = maxsat::solve_with_options::<B>(
                             prev_enc.instance(),
                             budget,
-                            &p.options_for(instance_features(prev_enc)),
+                            &p.options_for(prev_enc.instance()),
                         );
                         telemetry.absorb(&retry.telemetry);
                         proof.observe(&retry);
@@ -805,34 +751,6 @@ mod tests {
             c,
             ConnectivityGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)]),
         )
-    }
-
-    #[test]
-    fn fig3_sits_below_the_auto_parallelism_and_sharing_gate() {
-        // Documents the claim behind `Parallelism::Auto` and the sharing
-        // size gate: the monolithic fig3 encoding — on its own line graph
-        // and on the larger Tokyo− device — is a small instance, so Auto
-        // dispatches width 1 and a default portfolio would not share.
-        let (c, g) = fig3();
-        let router = SatMap::new(SatMapConfig::monolithic());
-        for graph in [g, arch::devices::tokyo_minus()] {
-            let artifact = router
-                .encode_request(&RouteRequest::new(&c, &graph))
-                .expect("encodes");
-            let size = artifact.instance().num_vars() + artifact.instance().hard_clauses().len();
-            assert!(
-                size < sat::DEFAULT_MIN_INSTANCE_SIZE,
-                "fig3 on {} is {} (gate is {})",
-                graph.name(),
-                size,
-                sat::DEFAULT_MIN_INSTANCE_SIZE
-            );
-            let features = instance_features(artifact.encoding());
-            assert_eq!(
-                maxsat::dispatch::plan(&features, maxsat::WidthHint::Auto).width,
-                1
-            );
-        }
     }
 
     #[test]

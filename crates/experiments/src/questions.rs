@@ -3,7 +3,7 @@
 //!
 //! Every router is constructed by name through
 //! [`routers::RouterRegistry`] and dispatched as `Box<dyn Router>`; all
-//! per-run knobs (budget, objective, slicing, portfolio width) travel in
+//! per-run knobs (budget, objective, slicing, search strategy) travel in
 //! the [`RouteSpec`] each sweep passes to [`run_suite`].
 
 use arch::{devices, NoiseModel};
@@ -70,8 +70,6 @@ pub fn q1(runtimes: bool) -> String {
         "conflicts".into(),
         "restarts".into(),
         "reductions".into(),
-        "exported".into(),
-        "imported".into(),
         "compactions".into(),
         "encode(s)".into(),
         "solve(s)".into(),
@@ -87,8 +85,6 @@ pub fn q1(runtimes: bool) -> String {
             t.conflicts.to_string(),
             t.restarts.to_string(),
             t.db_reductions.to_string(),
-            t.clauses_exported.to_string(),
-            t.clauses_imported.to_string(),
             t.compactions.to_string(),
             format!("{:.2}", t.encode_time.as_secs_f64()),
             format!("{:.2}", t.solve_time.as_secs_f64()),

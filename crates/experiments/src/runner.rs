@@ -4,7 +4,7 @@
 //!
 //! Every route call goes through a [`circuit::RouteRequest`] built from
 //! one [`RouteSpec`] per sweep, so the per-instance budget, objective, and
-//! portfolio width are properties of the *run*, not of the router — the
+//! search strategy are properties of the *run*, not of the router — the
 //! routers themselves come out of [`routers::RouterRegistry`] as
 //! `Box<dyn Router>`.
 
@@ -16,7 +16,7 @@ use std::time::Duration;
 use arch::ConnectivityGraph;
 use circuit::request::escape_json;
 use circuit::suite::Benchmark;
-use circuit::{verify::verify, Parallelism, RouteError, RouteRequest, RouteSpec, Router};
+use circuit::{verify::verify, RouteError, RouteRequest, RouteSpec, Router};
 use sat::SolverTelemetry;
 
 /// Result of running one tool on one benchmark.
@@ -68,12 +68,10 @@ pub fn env_jobs() -> usize {
 }
 
 /// The sweep spec the experiment runners share: the `SATMAP_BUDGET_MS`
-/// per-instance budget and automatic portfolio sizing (resolved against
-/// the job count inside [`run_suite`]).
+/// per-instance budget.
 pub fn env_spec() -> RouteSpec {
     RouteSpec {
         budget: env_budget().into(),
-        parallelism: Parallelism::Auto,
         ..RouteSpec::default()
     }
 }
@@ -156,9 +154,9 @@ pub fn run_tool(
 /// Results land at their benchmark's index, so the output order — and
 /// therefore every table derived from it — is identical for any job count.
 /// Each [`run_tool`] call arms its own per-instance budget as a fresh
-/// request, so parallel workers neither share nor extend deadlines. A
-/// [`Parallelism::Auto`] spec resolves once against `jobs`, shrinking the
-/// per-request SAT portfolio when the sweep already saturates the cores.
+/// request, so parallel workers neither share nor extend deadlines. Each
+/// request solves on the worker that took it, so `jobs` only sets how
+/// many cores the sweep keeps busy.
 ///
 /// When `SATMAP_ROWS_JSON` names a file, one JSON object per row is
 /// appended to it (NDJSON) in suite order — the same row schema
@@ -172,21 +170,16 @@ pub fn run_suite(
     jobs: usize,
 ) -> Vec<RunOutcome> {
     let jobs = jobs.clamp(1, suite.len().max(1));
-    let mut spec = spec.clone();
-    if spec.parallelism == Parallelism::Auto {
-        spec.parallelism = Parallelism::Width(Parallelism::auto_for_jobs(jobs));
-    }
     let outcomes: Vec<RunOutcome> = if jobs == 1 {
         suite
             .iter()
             .enumerate()
-            .map(|(i, b)| run_tool(router, b, graph, &spec_for_row(&spec, i)))
+            .map(|(i, b)| run_tool(router, b, graph, &spec_for_row(spec, i)))
             .collect()
     } else {
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<RunOutcome>>> =
             suite.iter().map(|_| Mutex::new(None)).collect();
-        let spec = &spec;
         std::thread::scope(|scope| {
             for _ in 0..jobs {
                 scope.spawn(|| loop {

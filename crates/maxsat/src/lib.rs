@@ -8,11 +8,18 @@
 //! * [`WcnfInstance`] — weighted partial MaxSAT instances plus WCNF I/O,
 //! * [`encodings`] — at-most-one / exactly-one and (generalized) totalizer
 //!   CNF encodings shared with the QMR encoders,
-//! * [`solve`] — the anytime optimization loop.
+//! * [`solve`] — the anytime optimization loop,
+//! * [`strategy`] — its two searches: the paper's linear SAT-UNSAT descent
+//!   and a weight-stratified core-guided search. Every call runs exactly
+//!   the one [`SolveOptions::strategy`] names; choosing it per instance is
+//!   the caller's job.
 //!
-//! The engine is generic over [`sat::SatBackend`] and never names the
-//! concrete solver: [`solve`] uses the workspace default backend, while
-//! [`solve_with_backend`] accepts any implementation. Budgets are the
+//! Each call is sequential: it loads the instance into one backend and
+//! drives it on the calling thread, so the same instance and options do
+//! the same work whenever the budget does not bind. The engine is generic
+//! over [`sat::SatBackend`] and never names the concrete solver: [`solve`]
+//! uses the workspace default backend, while [`solve_with_backend`]
+//! accepts any implementation. Budgets are the
 //! shared deadline-based [`ResourceBudget`]; the solver effort of every
 //! call is reported in [`MaxSatOutcome::telemetry`].
 //!
@@ -34,14 +41,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dispatch;
 pub mod encodings;
 mod session;
 mod solve;
 pub mod strategy;
 mod wcnf;
 
-pub use dispatch::{DispatchPlan, InstanceFeatures, WidthHint};
 pub use sat::{ResourceBudget, SolverTelemetry};
 pub use session::MaxSatSession;
 pub use solve::{

@@ -17,9 +17,7 @@
 //! definitions (relaxers, totalizers), independent of any bound assumed
 //! while learning it. Re-solving under different assumptions — a tighter
 //! bound, a bigger budget — therefore cannot change any answer; the
-//! carried clauses only prune the new search. This is the same
-//! conservative-extension argument that makes portfolio clause sharing
-//! sound, applied across *time* instead of across workers.
+//! carried clauses only prune the new search.
 //!
 //! The one deliberate exception is *soft hardening* (see
 //! [`crate::CoreGuided`]): a hardened soft's unit clause is sound only

@@ -15,7 +15,6 @@
 
 use sat::{ResourceBudget, SatBackend, SolverTelemetry};
 
-use crate::dispatch::{self, InstanceFeatures, WidthHint};
 use crate::session::MaxSatSession;
 use crate::strategy::{CoreGuided, LinearSatUnsat, SearchContext, SearchStrategy, Strategy};
 use crate::wcnf::WcnfInstance;
@@ -51,10 +50,6 @@ pub struct SolveOptions {
     /// weight already fits (quantum 1) the search stays exact. Smaller
     /// values trade optimality precision for encoding size.
     pub totalizer_units: u64,
-    /// Portfolio width requested from the backend before clauses load
-    /// (see [`sat::SatBackend::set_portfolio_width`]); `None` keeps the
-    /// backend's own default. Single-threaded backends ignore the hint.
-    pub portfolio_width: Option<usize>,
     /// Which search strategy drives the optimization (linear SAT-UNSAT by
     /// default; see [`Strategy`]).
     pub strategy: Strategy,
@@ -86,7 +81,6 @@ impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
             totalizer_units: 4000,
-            portfolio_width: None,
             strategy: Strategy::default(),
             stratify: true,
             max_strata: 8,
@@ -102,13 +96,6 @@ impl SolveOptions {
     /// least 1 unit).
     pub fn with_totalizer_units(mut self, units: u64) -> Self {
         self.totalizer_units = units.max(1);
-        self
-    }
-
-    /// Returns a copy requesting the given portfolio width (clamped to at
-    /// least 1 worker).
-    pub fn with_portfolio_width(mut self, width: usize) -> Self {
-        self.portfolio_width = Some(width.max(1));
         self
     }
 
@@ -159,19 +146,6 @@ impl SolveOptions {
             .with_core_hardening(false)
             .with_core_trim_probes(0)
     }
-}
-
-/// Records the dispatch decision this call ran under — the requested
-/// portfolio width, or the width the dispatcher sizes from the instance
-/// when none was requested — on the outcome's telemetry, so it reaches
-/// `RouteOutcome::to_json` and the NDJSON rows.
-fn stamp_dispatch(outcome: &mut MaxSatOutcome, instance: &WcnfInstance, options: &SolveOptions) {
-    let hint = options
-        .portfolio_width
-        .map_or(WidthHint::Auto, WidthHint::Forced);
-    let plan = dispatch::plan(&InstanceFeatures::of(instance), hint);
-    outcome.telemetry.dispatch_width = plan.width as u32;
-    outcome.telemetry.dispatch_hardness = plan.hardness;
 }
 
 /// Result of [`solve`]: status plus the best model and its cost, if any.
@@ -246,9 +220,7 @@ pub fn solve_with_options<B: SatBackend + Default>(
     options: &SolveOptions,
 ) -> MaxSatOutcome {
     let mut ctx = SearchContext::<B>::new(instance, budget, options);
-    let mut outcome = search(&mut ctx, options.strategy);
-    stamp_dispatch(&mut outcome, instance, options);
-    outcome
+    search(&mut ctx, options.strategy)
 }
 
 /// Runs `strategy` over a prepared context.
@@ -290,9 +262,8 @@ pub fn solve_with_session<B: SatBackend + Default>(
         Some(s) => SearchContext::resume(s, instance, budget, options),
         None => SearchContext::<B>::new(instance, budget, options),
     };
-    let mut outcome = search(&mut ctx, options.strategy);
+    let outcome = search(&mut ctx, options.strategy);
     *session = Some(ctx.into_session(options.strategy, options, &outcome));
-    stamp_dispatch(&mut outcome, instance, options);
     outcome
 }
 

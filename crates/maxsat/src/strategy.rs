@@ -17,12 +17,12 @@
 //!
 //! Neither dominates, so every solve call runs exactly one of them,
 //! selected by [`Strategy`] (the routing layers resolve their `Auto`
-//! knob per instance; see [`crate::dispatch::prefers_core`]).
+//! knob per instance from the soft clauses' weights).
 //!
 //! Every bound in both strategies is passed as an **assumption**, never
 //! asserted as a clause, so the clause database stays a conservative
-//! extension of the instance — which keeps portfolio clause sharing and
-//! warm-start session reuse sound. (Core-guided soft hardening is the one
+//! extension of the instance — which keeps warm-start session reuse
+//! sound. (Core-guided soft hardening is the one
 //! deliberate, session-recorded exception.)
 
 use std::collections::HashMap;
@@ -120,6 +120,9 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
     /// indicator per soft clause (unit softs reuse the negated literal;
     /// larger softs get a fresh relaxer, free to be false whenever the
     /// clause is satisfied). Arms the budget.
+    ///
+    /// The call's solver effort is counted from before the load, so root
+    /// propagation of the hard clauses is part of it.
     pub fn new(
         instance: &'a WcnfInstance,
         budget: &ResourceBudget,
@@ -128,9 +131,7 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
         let budget = budget.arm();
         let mut telemetry = SolverTelemetry::new();
         let mut solver = B::default();
-        if let Some(width) = options.portfolio_width {
-            solver.set_portfolio_width(width);
-        }
+        let stats_base = *solver.stats();
 
         let encode_start = Instant::now();
         solver.reserve_vars(instance.num_vars());
@@ -166,7 +167,6 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
         // small; quantum 1 keeps the search exact.
         let total_weight: u64 = indicators.iter().map(|&(_, w)| w).sum();
         let quantum = (total_weight / options.totalizer_units.max(1)).max(1);
-        let stats_base = *solver.stats();
 
         SearchContext {
             solver,
@@ -202,7 +202,7 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
     /// progress all carry over. The caller must pass the *same* instance
     /// the session was built from (checked cheaply by
     /// [`MaxSatSession::compatible`]; keyed exactly by the route-level
-    /// fingerprint). Arms `budget` and honors a changed portfolio width.
+    /// fingerprint). Arms `budget`.
     ///
     /// The resumed telemetry reports `warm_start = true` and counts every
     /// clause already in the arena as `reused_clauses` — the encoding work
@@ -214,10 +214,7 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
         options: &SolveOptions,
     ) -> Self {
         let budget = budget.arm();
-        let mut solver = session.solver;
-        if let Some(width) = options.portfolio_width {
-            solver.set_portfolio_width(width);
-        }
+        let solver = session.solver;
         let mut telemetry = SolverTelemetry::new();
         telemetry.warm_start = true;
         telemetry.reused_clauses = solver.num_clauses() as u64;
@@ -593,14 +590,10 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
         t.propagations = stats.propagations - base.propagations;
         t.restarts = stats.restarts - base.restarts;
         t.db_reductions = stats.reductions - base.reductions;
-        t.clauses_exported = stats.clauses_exported - base.clauses_exported;
-        t.clauses_imported = stats.clauses_imported - base.clauses_imported;
         t.compactions = stats.compactions - base.compactions;
-        t.worker_panics = stats.worker_panics - base.worker_panics;
         // A gauge, not a counter: report the backend's current arena
-        // footprint (summed over portfolio workers).
+        // footprint.
         t.arena_bytes = stats.arena_bytes;
-        t.winning_worker = stats.last_winner;
         t.strategy = Some(strategy);
         let model = self.best_model.take();
         let cost = model.as_ref().map(|_| self.best_cost);
@@ -1012,120 +1005,6 @@ mod tests {
         let out = search_with(&CoreGuided, &inst);
         assert_eq!(out.status, MaxSatStatus::Optimal);
         assert_eq!(out.cost, Some(3), "violate the weight-3 soft, keep b");
-    }
-
-    /// Runs `strategy` on a `width`-worker portfolio race (one search,
-    /// its SAT calls raced by diversified clones of one backend).
-    fn portfolio_search<S: SearchStrategy, B: SatBackend + Default + Send + Clone>(
-        strategy: &S,
-        inst: &WcnfInstance,
-        budget: &ResourceBudget,
-        width: usize,
-    ) -> MaxSatOutcome {
-        let options = SolveOptions::default().with_portfolio_width(width);
-        let mut ctx = SearchContext::<sat::PortfolioBackend<B>>::new(inst, budget, &options);
-        strategy.search(&mut ctx)
-    }
-
-    #[test]
-    fn race_returns_optimal_and_merges_effort() {
-        let inst = weighted_instance();
-        for out in [
-            portfolio_search::<_, DefaultBackend>(
-                &LinearSatUnsat,
-                &inst,
-                &ResourceBudget::unlimited(),
-                2,
-            ),
-            portfolio_search::<_, DefaultBackend>(
-                &CoreGuided,
-                &inst,
-                &ResourceBudget::unlimited(),
-                2,
-            ),
-        ] {
-            assert_eq!(out.status, MaxSatStatus::Optimal);
-            assert_eq!(out.cost, Some(1));
-            assert_eq!(out.telemetry.strategy, Some(out.strategy));
-            // The race's winner and the workers' merged effort reach the
-            // search's telemetry.
-            assert!(out.telemetry.winning_worker.is_some(), "{}", out.telemetry);
-            assert!(out.telemetry.propagations > 0, "{}", out.telemetry);
-        }
-    }
-
-    #[test]
-    fn small_auto_race_degenerates_to_one_inline_worker() {
-        // The dispatcher resolves an Auto-width race on a small instance
-        // to a single worker, which the portfolio runs inline; the answer
-        // matches the serial search exactly.
-        let inst = weighted_instance();
-        let plan = crate::dispatch::plan(
-            &crate::dispatch::InstanceFeatures::of(&inst),
-            crate::dispatch::WidthHint::Auto,
-        );
-        assert_eq!(plan.width, 1);
-        let out = portfolio_search::<_, DefaultBackend>(
-            &CoreGuided,
-            &inst,
-            &ResourceBudget::unlimited(),
-            plan.width,
-        );
-        let serial = search_with(&CoreGuided, &inst);
-        assert_eq!(out.status, MaxSatStatus::Optimal);
-        assert_eq!(out.cost, serial.cost);
-        assert_eq!(out.iterations, serial.iterations);
-        assert_eq!(out.telemetry.winning_worker, Some(0), "inline primary");
-    }
-
-    #[test]
-    fn race_with_zero_budget_does_not_misreport() {
-        let mut inst = WcnfInstance::new();
-        let lits: Vec<Lit> = (0..20).map(|_| inst.new_var().positive()).collect();
-        for w in lits.windows(2) {
-            inst.add_hard([w[0], w[1]]);
-        }
-        for &l in &lits {
-            inst.add_soft(1, [!l]);
-        }
-        let out = portfolio_search::<_, DefaultBackend>(
-            &LinearSatUnsat,
-            &inst,
-            &ResourceBudget::with_time(std::time::Duration::ZERO),
-            2,
-        );
-        assert!(matches!(
-            out.status,
-            MaxSatStatus::Feasible | MaxSatStatus::Unknown
-        ));
-        if let (Some(model), Some(cost)) = (&out.model, out.cost) {
-            assert_eq!(inst.cost_of(model), Some(cost));
-        }
-    }
-
-    #[test]
-    fn race_survives_panicking_racers_with_a_typed_nonanswer() {
-        use sat::chaos::{silence_panic_reports, ChaosBackend, FaultPlan};
-        silence_panic_reports();
-        // Every solve call panics, so both portfolio workers crash on the
-        // first SAT call; the search must still return a typed Unknown
-        // instead of unwinding.
-        let previous = sat::chaos::install_plan(Some(FaultPlan::seeded(17).panic_prob(1.0)));
-        let inst = weighted_instance();
-        let out = portfolio_search::<_, ChaosBackend<DefaultBackend>>(
-            &LinearSatUnsat,
-            &inst,
-            &ResourceBudget::unlimited(),
-            2,
-        );
-        sat::chaos::install_plan(previous);
-        assert_eq!(out.status, MaxSatStatus::Unknown);
-        assert_eq!(out.model, None);
-        assert_eq!(
-            out.telemetry.worker_panics, 2,
-            "both crashed workers are counted"
-        );
-        assert_eq!(out.telemetry.strategy, Some("linear-sat-unsat"));
     }
 
     #[test]

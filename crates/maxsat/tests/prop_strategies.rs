@@ -1,6 +1,6 @@
 //! Strategy-equivalence properties: `LinearSatUnsat` and `CoreGuided`
 //! must report identical optimal costs on random small weighted instances
-//! (exact search, quantum = 1), serially and on portfolio races, plus
+//! (exact search, quantum = 1), plus
 //! directed regressions on the pigeonhole placement family where the
 //! core-guided strategy must reach the proof in fewer SAT calls.
 
@@ -8,7 +8,7 @@ use maxsat::{
     solve_with_options, MaxSatOutcome, MaxSatStatus, SolveOptions, Strategy, WcnfInstance,
 };
 use proptest::prelude::*;
-use sat::{DefaultBackend, Lit, PortfolioBackend, ResourceBudget};
+use sat::{DefaultBackend, Lit, ResourceBudget};
 
 /// Brute-force reference for small weighted instances: minimal falsified
 /// soft weight over all assignments, `None` when the hards are UNSAT.
@@ -368,30 +368,4 @@ fn warm_started_stratified_solve_resumes_mid_stratum() {
     assert!(warm.telemetry.warm_start, "{}", warm.telemetry);
     let model = warm.model.as_ref().expect("optimal implies model");
     assert_eq!(inst.cost_of(model), Some(expected));
-}
-
-#[test]
-fn race_equals_linear_across_widths() {
-    // Same costs whether either strategy runs serially or on a sharing
-    // portfolio race — racing and sharing change the route, never the
-    // answer.
-    for pigeons in 3..=5usize {
-        let inst = placement(pigeons, 3);
-        let linear = solve_strategy(&inst, Strategy::LinearSatUnsat);
-        for strategy in [Strategy::LinearSatUnsat, Strategy::CoreGuided] {
-            for width in [2, 3] {
-                let options = SolveOptions::default()
-                    .with_strategy(strategy)
-                    .with_portfolio_width(width);
-                let race = solve_with_options::<PortfolioBackend<DefaultBackend>>(
-                    &inst,
-                    &ResourceBudget::unlimited(),
-                    &options,
-                );
-                let label = format!("placement({pigeons}, 3) {strategy:?} x{width}");
-                assert_eq!(race.status, linear.status, "{label}");
-                assert_eq!(race.cost, linear.cost, "{label}");
-            }
-        }
-    }
 }

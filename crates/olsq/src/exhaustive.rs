@@ -22,8 +22,8 @@ use maxsat::{MaxSatStatus, WcnfInstance};
 use sat::{DefaultBackend, Lit, SatBackend, SolverTelemetry, Var};
 
 /// The exhaustive-encoding router (EX-MQT analogue), generic over the SAT
-/// backend driving the MaxSAT engine. The solve budget and portfolio
-/// width come from each [`RouteRequest`].
+/// backend driving the MaxSAT engine. The solve budget and search
+/// strategy come from each [`RouteRequest`].
 ///
 /// # Examples
 ///
@@ -269,7 +269,6 @@ impl<B: SatBackend + Default + Send> Router for Exhaustive<B> {
     fn route_request(&self, request: &RouteRequest<'_>) -> RouteOutcome {
         RouteOutcome::capture(self.name(), || self.route_impl(request))
             .with_diagnostic("encoding", "naive-exhaustive")
-            .with_diagnostic("portfolio_width", request.parallelism().resolve())
     }
 }
 

@@ -12,7 +12,7 @@
 //!
 //! Both routers are generic over [`sat::SatBackend`] (the concrete solver
 //! is never named here), take their deadline-based
-//! [`sat::ResourceBudget`] and portfolio width from each
+//! [`sat::ResourceBudget`] and search strategy from each
 //! [`circuit::RouteRequest`], and report [`sat::SolverTelemetry`] through
 //! the returned [`circuit::RouteOutcome`].
 //!
@@ -38,18 +38,15 @@ pub use exhaustive::Exhaustive;
 pub use transition::Transition;
 
 /// The `maxsat` engine options a request resolves to for these baselines:
-/// portfolio width from the parallelism hint, search strategy from the
-/// request's strategy knob.
+/// the search strategy from the request's strategy knob.
 pub(crate) fn engine_options(request: &circuit::RouteRequest<'_>) -> maxsat::SolveOptions {
     let strategy = match request.strategy() {
         // The baselines solve unweighted swap-count objectives only, so
-        // the feature-resolved `Auto` default always lands on linear.
+        // the `Auto` default always lands on linear.
         circuit::SearchStrategy::Auto | circuit::SearchStrategy::Linear => {
             maxsat::Strategy::LinearSatUnsat
         }
         circuit::SearchStrategy::CoreGuided => maxsat::Strategy::CoreGuided,
     };
-    maxsat::SolveOptions::default()
-        .with_portfolio_width(request.parallelism().resolve())
-        .with_strategy(strategy)
+    maxsat::SolveOptions::default().with_strategy(strategy)
 }

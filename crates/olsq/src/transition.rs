@@ -21,8 +21,8 @@ use maxsat::{MaxSatStatus, WcnfInstance};
 use sat::{DefaultBackend, Lit, SatBackend, SolverTelemetry, Var};
 
 /// The transition-based router (TB-OLSQ analogue), generic over the SAT
-/// backend driving the MaxSAT engine. The deepening budget and portfolio
-/// width come from each [`RouteRequest`].
+/// backend driving the MaxSAT engine. The deepening budget and search
+/// strategy come from each [`RouteRequest`].
 ///
 /// # Examples
 ///
@@ -291,7 +291,6 @@ impl<B: SatBackend + Default + Send> Router for Transition<B> {
     fn route_request(&self, request: &RouteRequest<'_>) -> RouteOutcome {
         RouteOutcome::capture(self.name(), || self.route_impl(request))
             .with_diagnostic("encoding", "transition-based")
-            .with_diagnostic("portfolio_width", request.parallelism().resolve())
     }
 }
 

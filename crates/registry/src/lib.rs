@@ -4,8 +4,8 @@
 //! integration tests all dispatch through `Box<dyn Router>`; this crate is
 //! the one place that knows the concrete types behind the names. Routers
 //! are request-driven ([`circuit::RouteRequest`]), so the registry needs
-//! no per-router configuration: budgets, objectives, slicing, and
-//! parallelism all arrive with each request.
+//! no per-router configuration: budgets, objectives, slicing, and the
+//! search strategy all arrive with each request.
 //!
 //! Registered names (aliases in parentheses):
 //!
@@ -20,11 +20,10 @@
 //! | `tket` | t\|ket⟩-style heuristic |
 //! | `astar` (`mqth-astar`) | MQT-style A* heuristic |
 //!
-//! The three SAT-based SATMAP variants are built over
-//! [`sat::PortfolioBackend`], so a request's [`circuit::Parallelism`] hint
-//! races diversified workers; `Serial` requests solve inline with zero
-//! racing overhead and identical costs. Every SAT-based router also honors
-//! the request's [`circuit::SearchStrategy`]: the MaxSAT engine's linear
+//! The three SAT-based SATMAP variants are built over the bundled CDCL
+//! solver ([`StandardBackend`]) and solve each request on the calling
+//! thread. Every SAT-based router honors the request's
+//! [`circuit::SearchStrategy`]: the MaxSAT engine's linear
 //! SAT-UNSAT search, the core-guided lower-bounding search, or `Auto`
 //! (the default), which picks one of the two per solver call.
 //!
@@ -63,17 +62,17 @@ pub use supervisor::{admission_verdict, RoutePolicy, RouteSupervisor};
 use circuit::Router;
 use heuristics::{AStar, Sabre, Tket};
 use olsq::{Exhaustive, Transition};
-use sat::{DefaultBackend, PortfolioBackend};
+use sat::DefaultBackend;
 use satmap::{CyclicSatMap, SatMap, SatMapConfig};
 
 /// A router that can be shared across suite-runner worker threads.
 pub type BoxedRouter = Box<dyn Router + Send + Sync>;
 
-/// The portfolio-capable backend the registry builds SAT routers over —
-/// exported so embedders (the `routed` daemon, custom supervisors) can
-/// name the same stack, or substitute a decorated one (e.g.
-/// `PortfolioBackend<ChaosBackend<DefaultBackend>>`) for fault injection.
-pub type StandardBackend = PortfolioBackend<DefaultBackend>;
+/// The backend the registry builds SAT routers over — exported so
+/// embedders (the `routed` daemon, custom supervisors) can name the same
+/// stack, or substitute a decorated one (e.g.
+/// `ChaosBackend<DefaultBackend>`) for fault injection.
+pub type StandardBackend = DefaultBackend;
 
 pub(crate) type Backend = StandardBackend;
 

@@ -34,7 +34,9 @@
 //! and answers [`RouteError::Cancelled`], keeping whatever telemetry the
 //! interrupted attempt accumulated. Every attempt runs behind a panic
 //! isolation boundary: a crash inside a router surfaces as a retryable
-//! [`RouteError::Internal`], never as a process panic.
+//! [`RouteError::Internal`], never as a process panic. The returned
+//! outcome's `worker_panics` counts every attempt of the ladder that
+//! panicked, so a retry that recovers still reports the crash.
 //!
 //! Soundness: `Optimal` and `WarmRetry` outcomes carry the same optimality
 //! proof a plain route would — warm-started retries reuse only
@@ -61,15 +63,13 @@ const ENCODING_ROUTERS: &[&str] = &["satmap", "nl-satmap", "cyc-satmap", "olsq",
 /// The admission rule, shared by [`RouteSupervisor`] and the `routed`
 /// daemon's door: only budgeted requests to encoding-based routers (the
 /// SATMAP variants and the OLSQ baselines, by canonical name) can be
-/// shed, and only when
-/// the O(1) size proxy — [`satmap::encoding_estimate`] times the worker
-/// count the dispatch plan would clone the formula across
-/// ([`satmap::planned_width`]) — exceeds `limit`. Costs O(1), so the shed
-/// happens *before* any encode time is spent.
+/// shed, and only when the O(1) size proxy [`satmap::encoding_estimate`]
+/// exceeds `limit`. Costs O(1), so the shed happens *before* any encode
+/// time is spent.
 ///
 /// # Errors
 ///
-/// [`RouteError::Overloaded`] naming the estimate, width, and limit.
+/// [`RouteError::Overloaded`] naming the estimate and the limit.
 pub fn admission_verdict(
     canonical: &str,
     request: &RouteRequest<'_>,
@@ -80,16 +80,9 @@ pub fn admission_verdict(
     }
     let swaps_per_gap = request.swaps_per_gap().unwrap_or(1);
     let estimate = satmap::encoding_estimate(request.circuit(), request.graph(), swaps_per_gap);
-    let width = satmap::planned_width(
-        request.circuit(),
-        request.graph(),
-        request.parallelism(),
-        swaps_per_gap,
-    );
-    if estimate.saturating_mul(width) > limit {
+    if estimate > limit {
         return Err(RouteError::Overloaded(format!(
-            "encoding estimate {estimate} x planned width {width} exceeds \
-             the admission limit {limit}"
+            "encoding estimate {estimate} exceeds the admission limit {limit}"
         )));
     }
     Ok(())
@@ -127,18 +120,9 @@ pub struct RoutePolicy {
     /// failure instead.
     pub fallback: Option<String>,
     /// Admission ceiling on [`satmap::encoding_estimate`] for budgeted
-    /// requests to encoding-based routers. The estimate is multiplied by
-    /// the worker count the dispatch plan would run ([`satmap::planned_width`]):
-    /// a width-4 portfolio clones the formula four times, so its memory
-    /// footprint — the quantity the paper's 5 GB cap bounds — scales with
-    /// the plan, not just the instance.
+    /// requests to encoding-based routers: the proxy for the memory
+    /// footprint the paper's 5 GB cap bounds.
     pub admission_limit: usize,
-    /// Whether retries may widen the worker plan: a `Serial` request whose
-    /// first attempt failed retries under `Parallelism::Auto`, letting the
-    /// dispatcher size a portfolio race at the escalated budget.
-    /// Parallelism is excluded from the request fingerprint, so the
-    /// widened retry still warm-starts from the failed attempt's session.
-    pub escalate_plan: bool,
 }
 
 impl Default for RoutePolicy {
@@ -151,13 +135,12 @@ impl Default for RoutePolicy {
             backoff_seed: 0x5EED_0BAD_CAFE,
             fallback: Some("sabre".into()),
             admission_limit: satmap::ENCODING_GUARD_LIMIT,
-            escalate_plan: true,
         }
     }
 }
 
 /// Session key: canonical router name plus request fingerprint (budget
-/// and parallelism excluded — that is what makes escalated retries warm).
+/// excluded — that is what makes escalated retries warm).
 type Key = (&'static str, u64);
 
 /// A resilience layer over the [`RouterRegistry`]: admission control, a
@@ -166,7 +149,7 @@ type Key = (&'static str, u64);
 /// the ladder semantics.
 ///
 /// Generic over the SAT backend the SATMAP attempts run on (defaults to
-/// the registry's portfolio backend); fault-injection tests substitute
+/// the registry's standard backend); fault-injection tests substitute
 /// [`sat::ChaosBackend`] here. Non-SATMAP routers are built by the wrapped
 /// registry and always use its fixed backend.
 pub struct RouteSupervisor<B: SatBackend + Default + Send = Backend> {
@@ -262,8 +245,22 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
         admission_verdict(canonical, request, self.policy.admission_limit)
     }
 
-    /// The escalation ladder (see the module docs).
+    /// The escalation ladder (see the module docs), with the panicked
+    /// attempts of the whole ladder stamped on whatever it answers.
     fn supervise(&self, canonical: &'static str, request: &RouteRequest<'_>) -> RouteOutcome {
+        let mut panics = 0;
+        let mut outcome = self.ladder(canonical, request, &mut panics);
+        outcome.telemetry_mut().worker_panics = panics;
+        outcome
+    }
+
+    /// Runs the ladder, adding each attempt's panic count to `panics`.
+    fn ladder(
+        &self,
+        canonical: &'static str,
+        request: &RouteRequest<'_>,
+        panics: &mut u64,
+    ) -> RouteOutcome {
         if let Err(shed) = self.admit(canonical, request) {
             return self.degrade(canonical, request, shed, 1);
         }
@@ -285,6 +282,7 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
             }
             let escalated = self.escalated_request(request, base_time, attempt);
             let outcome = self.attempt(canonical, &escalated);
+            *panics += outcome.telemetry().worker_panics;
             match outcome.error() {
                 None => {
                     if outcome.quality() == RouteQuality::Optimal {
@@ -346,19 +344,16 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
     }
 
     /// Scales the request's time budget for attempt `attempt` (1-based);
-    /// unlimited budgets pass through untouched. With
-    /// [`RoutePolicy::escalate_plan`], a retry also releases a `Serial`
-    /// parallelism hint to `Auto`, so the dispatcher can answer the
-    /// escalated attempt with a wider worker plan. The strategy knob is
-    /// never touched: changing it would break warm-start session
-    /// compatibility.
+    /// unlimited budgets pass through untouched. Nothing else changes: in
+    /// particular the strategy knob is never touched, since changing it
+    /// would break warm-start session compatibility.
     fn escalated_request<'a>(
         &self,
         request: &RouteRequest<'a>,
         base_time: Option<Duration>,
         attempt: u32,
     ) -> RouteRequest<'a> {
-        let mut escalated = match base_time {
+        match base_time {
             Some(t) if attempt > 1 => {
                 let factor = self.policy.escalation.max(1.0).powi(attempt as i32 - 1);
                 request
@@ -366,20 +361,14 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
                     .with_budget(Duration::from_secs_f64(t.as_secs_f64() * factor))
             }
             _ => request.clone(),
-        };
-        if self.policy.escalate_plan
-            && attempt > 1
-            && request.parallelism() == circuit::Parallelism::Serial
-        {
-            escalated = escalated.with_parallelism(circuit::Parallelism::Auto);
         }
-        escalated
     }
 
     /// One panic-isolated routing attempt. SATMAP family attempts run on
     /// this supervisor's backend with warm-start session reuse; everything
     /// else is built cold by the registry. A panic anywhere inside
-    /// surfaces as a retryable [`RouteError::Internal`].
+    /// surfaces as a retryable [`RouteError::Internal`] whose telemetry
+    /// counts the one panic.
     fn attempt(&self, canonical: &'static str, request: &RouteRequest<'_>) -> RouteOutcome {
         let run = || match canonical {
             "satmap" => self.attempt_satmap(SatMapConfig::default(), canonical, request),
@@ -390,12 +379,16 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
                 .expect("canonical name is registered"),
         };
         catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
+            let telemetry = SolverTelemetry {
+                worker_panics: 1,
+                ..SolverTelemetry::new()
+            };
             RouteOutcome::new(
                 canonical,
                 Err(RouteError::Internal(
                     "routing attempt panicked; retrying".into(),
                 )),
-                SolverTelemetry::new(),
+                telemetry,
                 Duration::ZERO,
             )
         })
@@ -741,54 +734,129 @@ mod tests {
     }
 
     #[test]
-    fn planned_width_multiplies_the_admission_footprint() {
-        // Admission prices the whole worker plan, not just one clone of
-        // the instance: the same circuit that fits serially is shed when
-        // an explicit width-4 portfolio would quadruple the footprint.
+    fn admission_sheds_on_the_encoding_estimate_alone() {
         let (c, g) = fig3();
         let estimate = satmap::encoding_estimate(&c, &g, 1);
-        let supervisor = RouteSupervisor::with_policy(RoutePolicy {
-            admission_limit: estimate * 2,
+        let request = RouteRequest::new(&c, &g).with_budget(Duration::from_secs(1));
+        let at_limit = RouteSupervisor::with_policy(RoutePolicy {
+            admission_limit: estimate,
             ..RoutePolicy::default()
         });
-        let serial = RouteRequest::new(&c, &g).with_budget(Duration::from_secs(1));
-        assert!(supervisor.admit("nl-satmap", &serial).is_ok());
-        let wide = serial
-            .clone()
-            .with_parallelism(circuit::Parallelism::Width(4));
+        assert!(at_limit.admit("nl-satmap", &request).is_ok());
+        let below = RouteSupervisor::with_policy(RoutePolicy {
+            admission_limit: estimate - 1,
+            ..RoutePolicy::default()
+        });
         assert!(matches!(
-            supervisor.admit("nl-satmap", &wide),
+            below.admit("nl-satmap", &request),
             Err(RouteError::Overloaded(_))
         ));
     }
 
     #[test]
-    fn serial_retries_escalate_to_the_auto_plan() {
+    fn retries_change_only_the_budget() {
         let (c, g) = fig3();
         let base_time = Some(Duration::from_secs(1));
-        let base = RouteRequest::new(&c, &g).with_budget(Duration::from_secs(1));
+        let base = RouteRequest::new(&c, &g)
+            .with_budget(Duration::from_secs(1))
+            .with_strategy(circuit::SearchStrategy::CoreGuided);
         let supervisor = RouteSupervisor::new();
         let first = supervisor.escalated_request(&base, base_time, 1);
-        assert_eq!(first.parallelism(), circuit::Parallelism::Serial);
+        assert_eq!(first.budget().remaining_time(), base_time);
         let retry = supervisor.escalated_request(&base, base_time, 2);
         assert_eq!(
-            retry.parallelism(),
-            circuit::Parallelism::Auto,
-            "a failed serial attempt frees the dispatcher's hand"
+            retry.budget().remaining_time(),
+            Some(Duration::from_secs(2))
         );
-        // An explicit width is the caller's call — never overridden.
-        let pinned = base
-            .clone()
-            .with_parallelism(circuit::Parallelism::Width(2));
-        let retry = supervisor.escalated_request(&pinned, base_time, 2);
-        assert_eq!(retry.parallelism(), circuit::Parallelism::Width(2));
-        // And the knob can be turned off.
-        let fixed = RouteSupervisor::with_policy(RoutePolicy {
-            escalate_plan: false,
-            ..RoutePolicy::default()
-        });
-        let retry = fixed.escalated_request(&base, base_time, 2);
-        assert_eq!(retry.parallelism(), circuit::Parallelism::Serial);
+        assert_eq!(retry.strategy(), circuit::SearchStrategy::CoreGuided);
+        assert_eq!(retry.fingerprint(), base.fingerprint(), "retries stay warm");
+    }
+
+    /// Panics on the first solve call in the process, then solves like the
+    /// default backend: the shape of a transient crash a retry recovers
+    /// from.
+    #[derive(Default)]
+    struct PanicsOnce(sat::DefaultBackend);
+
+    static PANICKED_ONCE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+    impl sat::ClauseSink for PanicsOnce {
+        fn new_var(&mut self) -> sat::Var {
+            sat::ClauseSink::new_var(&mut self.0)
+        }
+
+        fn emit(&mut self, lits: &[sat::Lit]) {
+            self.0.emit(lits);
+        }
+    }
+
+    impl SatBackend for PanicsOnce {
+        fn backend_name(&self) -> &'static str {
+            "panics-once"
+        }
+
+        fn num_vars(&self) -> usize {
+            SatBackend::num_vars(&self.0)
+        }
+
+        fn reserve_vars(&mut self, n: usize) {
+            SatBackend::reserve_vars(&mut self.0, n);
+        }
+
+        fn add_clause(&mut self, lits: &[sat::Lit]) -> bool {
+            SatBackend::add_clause(&mut self.0, lits)
+        }
+
+        fn solve_under_assumptions(
+            &mut self,
+            assumptions: &[sat::Lit],
+            budget: &ResourceBudget,
+        ) -> sat::SolveResult {
+            if !PANICKED_ONCE.swap(true, std::sync::atomic::Ordering::SeqCst) {
+                panic!("{} (first solve)", sat::chaos::CHAOS_PANIC);
+            }
+            SatBackend::solve_under_assumptions(&mut self.0, assumptions, budget)
+        }
+
+        fn model_value(&self, l: sat::Lit) -> Option<bool> {
+            SatBackend::model_value(&self.0, l)
+        }
+
+        fn model(&self) -> Vec<bool> {
+            SatBackend::model(&self.0)
+        }
+
+        fn unsat_core(&self) -> &[sat::Lit] {
+            SatBackend::unsat_core(&self.0)
+        }
+
+        fn stats(&self) -> &sat::Stats {
+            SatBackend::stats(&self.0)
+        }
+    }
+
+    #[test]
+    fn a_recovered_retry_still_counts_the_panicked_attempt() {
+        // Attempt 1 panics and is caught; attempt 2 proves the optimum.
+        // The answer is a proven warm retry, and it must still report the
+        // one crash the ladder absorbed.
+        sat::chaos::silence_panic_reports();
+        let (c, g) = fig3();
+        let supervisor = RouteSupervisor::<PanicsOnce>::with_registry_and_policy(
+            RouterRegistry::standard(),
+            RoutePolicy {
+                backoff_base: Duration::from_millis(1),
+                backoff_cap: Duration::from_millis(2),
+                ..RoutePolicy::default()
+            },
+        );
+        let out = supervisor
+            .route("nl-satmap", &RouteRequest::new(&c, &g))
+            .expect("known");
+        assert_eq!(out.quality(), RouteQuality::WarmRetry(1));
+        assert_eq!(out.attempts(), 2);
+        assert_eq!(out.routed().expect("solved").swap_count(), 1);
+        assert_eq!(out.telemetry().worker_panics, 1, "{}", out.telemetry());
     }
 
     #[test]

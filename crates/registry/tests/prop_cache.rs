@@ -3,7 +3,7 @@
 //! same optimal cost as a cold solve — across random small circuits and
 //! one-gate mutations of them.
 
-use circuit::{Circuit, Parallelism, RouteRequest, Router, SearchStrategy};
+use circuit::{Circuit, RouteRequest, Router, SearchStrategy};
 use proptest::prelude::*;
 use routers::RouteCache;
 use satmap::{SatMap, SatMapConfig};
@@ -78,8 +78,7 @@ proptest! {
         let router = SatMap::new(SatMapConfig::monolithic());
         let request = RouteRequest::new(&c, &g)
             .with_budget(Duration::from_secs(30))
-            .with_strategy(strategy)
-            .with_parallelism(Parallelism::Serial);
+            .with_strategy(strategy);
         let cold = router.route_request(&request);
         prop_assert!(cold.solved());
 

@@ -65,8 +65,8 @@ pub trait SatBackend: ClauseSink {
 
     /// Requests a portfolio of `width` diversified workers, if the backend
     /// races one. The default is a no-op: single-threaded backends simply
-    /// ignore the hint, so callers can thread a route request's
-    /// parallelism hint through without knowing the backend's shape.
+    /// ignore the hint, so generic callers can pass a width without
+    /// knowing the backend's shape.
     fn set_portfolio_width(&mut self, width: usize) {
         let _ = width;
     }

@@ -12,7 +12,7 @@
 //! Budgets also carry an optional [`CancelToken`], a thread-safe kill
 //! switch checked alongside the deadline in [`ResourceBudget::expired`].
 //! Tokens form a parent/child chain mirroring budget inheritance:
-//! cancelling a parent token stops every descendant, so a portfolio race or
+//! cancelling a parent token stops every descendant, so a daemon abort or
 //! an experiment sweep can tear down all of its in-flight solver work from
 //! another thread.
 //!

@@ -27,7 +27,9 @@
 //!   over the solver implementation,
 //! * deterministic search diversification ([`SolverConfig`]) and a
 //!   multi-threaded portfolio backend ([`PortfolioBackend`]) racing
-//!   diversified workers to the first definitive answer,
+//!   diversified workers to the first definitive answer — a library
+//!   component only: no layer of the routing stack uses it, and every
+//!   route solves on one plain [`Solver`] on the calling thread,
 //! * solver-effort accounting ([`SolverTelemetry`]) that higher layers
 //!   aggregate and report,
 //! * DIMACS CNF input/output ([`dimacs`]).

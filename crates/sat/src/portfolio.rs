@@ -47,6 +47,12 @@
 //! consumers, its optimal costs) match the plain backend's — only the
 //! wall-clock route to them differs.
 //!
+//! Nothing in the routing stack uses the portfolio: every route request
+//! solves on one plain [`crate::Solver`], and cores go to whole requests
+//! instead (the experiments runner's `--jobs`, the daemon's worker pool).
+//! Measured on the routing workloads (2-vCPU host), width 2 ran
+//! core-guided search 1.7-6.7x slower than width 1.
+//!
 //! # Examples
 //!
 //! ```

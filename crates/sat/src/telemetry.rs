@@ -23,14 +23,10 @@ pub struct SolverTelemetry {
     pub restarts: u64,
     /// Learned-clause database reductions across all SAT calls.
     pub db_reductions: u64,
-    /// Learned clauses exported to portfolio peers across all SAT calls.
-    pub clauses_exported: u64,
-    /// Learned clauses imported from portfolio peers across all SAT calls.
-    pub clauses_imported: u64,
     /// Clause-arena garbage collections across all SAT calls.
     pub compactions: u64,
-    /// Portfolio workers retired after panicking mid-race (the race
-    /// continued on the survivors).
+    /// Route attempts that panicked and were caught by the routing
+    /// supervisor (summed across its retry ladder).
     pub worker_panics: u64,
     /// Peak clause-arena footprint in bytes observed across the call tree
     /// (a gauge: absorbing a child takes the maximum, not the sum).
@@ -43,18 +39,9 @@ pub struct SolverTelemetry {
     pub slices: u64,
     /// Backtracking steps taken across slice boundaries.
     pub backtracks: u64,
-    /// Portfolio solving only: index of the worker that produced the most
-    /// recent definitive answer (`None` for single-threaded backends).
-    pub winning_worker: Option<u32>,
     /// MaxSAT engine only: name of the search strategy that produced the
     /// answer. `None` outside MaxSAT.
     pub strategy: Option<&'static str>,
-    /// Total worker count the instance-feature dispatcher resolved for
-    /// this call (0 when no dispatch decision was made, e.g. plain SAT).
-    pub dispatch_width: u32,
-    /// The instance-hardness signal (vars + hard clauses, or the encoding
-    /// estimate pre-encode) the dispatcher sized the plan from.
-    pub dispatch_hardness: u64,
     /// Weight strata the core-guided search partitioned the softs into
     /// (0 outside the stratified core-guided path; 1 = uniform weights,
     /// no stratification took effect). A gauge: absorbing takes the max.
@@ -94,8 +81,6 @@ impl SolverTelemetry {
         self.propagations += child.propagations;
         self.restarts += child.restarts;
         self.db_reductions += child.db_reductions;
-        self.clauses_exported += child.clauses_exported;
-        self.clauses_imported += child.clauses_imported;
         self.compactions += child.compactions;
         self.worker_panics += child.worker_panics;
         self.arena_bytes = self.arena_bytes.max(child.arena_bytes);
@@ -103,17 +88,9 @@ impl SolverTelemetry {
         self.solve_time += child.solve_time;
         self.slices += child.slices;
         self.backtracks += child.backtracks;
-        if child.winning_worker.is_some() {
-            self.winning_worker = child.winning_worker;
-        }
         if child.strategy.is_some() {
             self.strategy = child.strategy;
         }
-        // The dispatch decision of the widest child describes the call
-        // tree (retries re-dispatch; the sliced loop dispatches per
-        // slice — the peak width is what capacity planning needs).
-        self.dispatch_width = self.dispatch_width.max(child.dispatch_width);
-        self.dispatch_hardness = self.dispatch_hardness.max(child.dispatch_hardness);
         self.strata = self.strata.max(child.strata);
         self.exhaustion_steps += child.exhaustion_steps;
         self.hardened_softs += child.hardened_softs;
@@ -141,14 +118,8 @@ impl std::fmt::Display for SolverTelemetry {
             self.encode_time.as_secs_f64(),
             self.solve_time.as_secs_f64()
         )?;
-        if let Some(w) = self.winning_worker {
-            write!(f, " winner={w}")?;
-        }
         if let Some(s) = self.strategy {
             write!(f, " strategy={s}")?;
-        }
-        if self.dispatch_width > 0 {
-            write!(f, " dispatch=x{}", self.dispatch_width)?;
         }
         if self.strata > 0 {
             write!(
@@ -186,8 +157,6 @@ mod tests {
             sat_calls: 2,
             conflicts: 5,
             backtracks: 3,
-            clauses_exported: 4,
-            clauses_imported: 2,
             compactions: 1,
             arena_bytes: 1024,
             encode_time: Duration::from_millis(4),
@@ -199,8 +168,6 @@ mod tests {
         assert_eq!(parent.conflicts, 15);
         assert_eq!(parent.slices, 1);
         assert_eq!(parent.backtracks, 3);
-        assert_eq!(parent.clauses_exported, 4);
-        assert_eq!(parent.clauses_imported, 2);
         assert_eq!(parent.compactions, 1);
         assert_eq!(parent.arena_bytes, 1024, "gauge absorbs by max");
         parent.absorb(&SolverTelemetry {
@@ -235,7 +202,6 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains("sat_calls=0"));
         assert!(s.contains("solve=0.000s"));
-        assert!(!s.contains("dispatch="), "no dispatch decision, no noise");
     }
 
     #[test]
@@ -262,27 +228,5 @@ mod tests {
             !SolverTelemetry::new().to_string().contains("strata="),
             "no stratified search, no noise"
         );
-    }
-
-    #[test]
-    fn absorb_keeps_the_peak_dispatch_decision() {
-        let mut parent = SolverTelemetry {
-            dispatch_width: 1,
-            dispatch_hardness: 100,
-            ..SolverTelemetry::new()
-        };
-        parent.absorb(&SolverTelemetry {
-            dispatch_width: 4,
-            dispatch_hardness: 9000,
-            ..SolverTelemetry::new()
-        });
-        assert_eq!(parent.dispatch_width, 4, "peak width wins");
-        assert_eq!(parent.dispatch_hardness, 9000);
-        parent.absorb(&SolverTelemetry::new());
-        assert_eq!(
-            parent.dispatch_width, 4,
-            "an empty child does not erase the decision"
-        );
-        assert!(parent.to_string().contains("dispatch=x4"));
     }
 }

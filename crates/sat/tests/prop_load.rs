@@ -125,6 +125,8 @@ proptest! {
             run(chaos(), num_vars, &batches, true),
             run(chaos(), num_vars, &batches, false)
         );
+        // A benign chaos wrapper searches exactly like a bare solver.
+        prop_assert_eq!(&run(chaos(), num_vars, &batches, true), &bulk);
     }
 }
 

@@ -61,5 +61,5 @@ pub mod stats;
 pub mod wire;
 
 pub use client::{ServiceClient, Submission};
-pub use server::{worker_pool_width, Daemon, DaemonConfig};
+pub use server::{Daemon, DaemonConfig};
 pub use stats::{ServiceStats, StatsSnapshot};

@@ -27,8 +27,8 @@
 //! solve work, in O(request size): unknown routers and impossible
 //! circuits bounce as `InvalidRequest`; requests that fail the
 //! supervisor's admission rule ([`routers::admission_verdict`]: a
-//! budgeted encoding-based route whose size estimate times its planned
-//! worker count exceeds the policy's admission limit) are shed as
+//! budgeted encoding-based route whose size estimate exceeds the
+//! policy's admission limit) are shed as
 //! [`RouteError::Overloaded`], as is everything when the work
 //! queue is full or the daemon is draining. Shedding at the door is the
 //! service-level choice: under overload the daemon answers cheaply and
@@ -52,7 +52,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use circuit::{escape_json, Parallelism, RouteError, RouteOutcome, RouteRequest};
+use circuit::{escape_json, RouteError, RouteOutcome, RouteRequest};
 use routers::{RouteCache, RoutePolicy, RouteSupervisor, RouterRegistry, StandardBackend};
 use sat::{CancelRegistry, SatBackend, SolverTelemetry};
 
@@ -66,8 +66,8 @@ pub struct DaemonConfig {
     /// Bind address; port 0 picks a free one (read it back with
     /// [`Daemon::local_addr`]).
     pub addr: String,
-    /// Worker-pool width; `None` sizes it with [`worker_pool_width`] from
-    /// the machine and the expected per-request parallelism hint.
+    /// Worker-pool width; `None` runs one worker per available core. Each
+    /// worker routes one request at a time on its own thread.
     pub workers: Option<usize>,
     /// Work-queue capacity; a full queue sheds.
     pub queue_capacity: usize,
@@ -90,20 +90,6 @@ impl Default for DaemonConfig {
             session_capacity: routers::DEFAULT_SESSION_CAPACITY,
         }
     }
-}
-
-/// Sizes the worker pool: the machine's cores divided by the widest
-/// worker plan the dispatcher can resolve under the expected per-request
-/// hint ([`satmap::plan_ceiling`]) — a request racing a width-4 portfolio
-/// already owns 4 cores. The dispatcher only narrows from that ceiling
-/// as instances get easier, so the pool never oversubscribes. Clamped to
-/// at least 1.
-pub fn worker_pool_width(per_request_hint: Parallelism) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let per_request = satmap::plan_ceiling(per_request_hint);
-    (cores / per_request.max(1)).max(1)
 }
 
 /// One admitted unit of work: the decoded command, the server-assigned
@@ -145,8 +131,8 @@ struct Shared<B: SatBackend + Default + Send + 'static> {
 }
 
 /// A running routing daemon. Generic over the SAT backend its SATMAP
-/// solves run on — the default is the registry's standard portfolio
-/// stack; chaos tests substitute a fault-injecting one.
+/// solves run on — the default is the registry's standard backend;
+/// chaos tests substitute a fault-injecting one.
 ///
 /// # Examples
 ///
@@ -188,13 +174,9 @@ impl<B: SatBackend + Default + Send + 'static> Daemon<B> {
         let listener = TcpListener::bind(config.addr.as_str())?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        // Size for dispatched requests, not the serial default: clients
-        // may ask for `Auto`, and the supervisor's plan escalation widens
-        // serial retries to `Auto` too, so the honest per-request
-        // occupancy is the dispatcher's `Auto` ceiling.
         let worker_count = config
             .workers
-            .unwrap_or_else(|| worker_pool_width(Parallelism::Auto))
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
             .max(1);
         let shared = Arc::new(Shared {
             supervisor: RouteSupervisor::with_registry_and_policy(
@@ -529,12 +511,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn worker_pool_width_is_positive_and_inversely_scales() {
-        let serial = worker_pool_width(Parallelism::Serial);
-        assert!(serial >= 1);
-        let wide = worker_pool_width(Parallelism::Width(usize::MAX / 2));
-        assert_eq!(wide, 1, "huge per-request hints clamp the pool to 1");
-        assert!(worker_pool_width(Parallelism::Width(2)) <= serial);
+    fn default_pool_runs_one_worker_per_core() {
+        let daemon: Daemon = Daemon::bind(DaemonConfig::default()).expect("binds");
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(daemon.shared.workers, cores);
+        assert_eq!(daemon.workers.len(), cores);
+        daemon.drain();
+        daemon.join();
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! ```text
 //! {"verb":"route","router":"satmap","device":"tokyo",
 //!  "circuit":[["h",0],["cx",0,1],["rzz",1,2,0.25]],
-//!  "qubits":3,"budget_ms":2000,"parallelism":"serial",
+//!  "qubits":3,"budget_ms":2000,
 //!  "strategy":"linear","slicing":"default","swaps_per_gap":1}
 //! {"verb":"abort","request_id":7}
 //! {"verb":"stats"}
@@ -38,8 +38,8 @@
 //! wire and the routing layers.
 
 use circuit::{
-    Circuit, Gate, OneQubitKind, Parallelism, Qubit, RepeatedStructure, RouteError, RouteSpec,
-    SearchStrategy, Slicing, TwoQubitKind,
+    Circuit, Gate, OneQubitKind, Qubit, RepeatedStructure, RouteError, RouteSpec, SearchStrategy,
+    Slicing, TwoQubitKind,
 };
 use std::time::Duration;
 
@@ -427,7 +427,7 @@ pub struct RouteCommand {
     pub circuit: Circuit,
     /// The device connectivity graph, owned (built from the catalog).
     pub graph: arch::ConnectivityGraph,
-    /// The per-request knobs (budget, parallelism, strategy, …). The
+    /// The per-request knobs (budget, strategy, slicing, …). The
     /// daemon stamps `request_id` after assigning one.
     pub spec: RouteSpec,
 }
@@ -458,7 +458,6 @@ const ROUTE_KEYS: &[&str] = &[
     "qasm",
     "qubits",
     "budget_ms",
-    "parallelism",
     "strategy",
     "slicing",
     "swaps_per_gap",
@@ -594,7 +593,6 @@ fn parse_route(v: &JsonValue) -> Result<RouteCommand, WireError> {
     if let Some(ms) = optional_u64(v, "budget_ms")? {
         spec.budget = Duration::from_millis(ms).into();
     }
-    spec.parallelism = parse_parallelism(v)?;
     spec.strategy = parse_strategy(v)?;
     spec.slicing = parse_slicing(v)?;
     if let Some(n) = optional_u64(v, "swaps_per_gap")? {
@@ -714,20 +712,6 @@ fn two_qubit_kind(name: &str) -> Option<TwoQubitKind> {
         "rzz" => TwoQubitKind::Rzz,
         _ => return None,
     })
-}
-
-fn parse_parallelism(v: &JsonValue) -> Result<Parallelism, WireError> {
-    match v.get("parallelism") {
-        None => Ok(Parallelism::Serial),
-        Some(p) => match (p.as_str(), p.as_u64()) {
-            (Some("serial"), _) => Ok(Parallelism::Serial),
-            (Some("auto"), _) => Ok(Parallelism::Auto),
-            (_, Some(w)) if w >= 1 => Ok(Parallelism::Width(w as usize)),
-            _ => Err(WireError::new(
-                "'parallelism' must be \"serial\", \"auto\", or a width >= 1",
-            )),
-        },
-    }
 }
 
 fn parse_strategy(v: &JsonValue) -> Result<SearchStrategy, WireError> {
@@ -1088,7 +1072,7 @@ mod tests {
     #[test]
     fn spec_knobs_decode() {
         let line = r#"{"verb":"route","router":"satmap","device":"linear:4",
-            "circuit":[["cx",0,1],["cx",0,1]],"parallelism":2,"slicing":"monolithic",
+            "circuit":[["cx",0,1],["cx",0,1]],"slicing":"monolithic",
             "swaps_per_gap":2,"totalizer_units":10,
             "repetition":{"prefix_len":0,"cycles":2}}"#
             .replace('\n', "");
@@ -1096,7 +1080,6 @@ mod tests {
             Request::Route(cmd) => cmd,
             other => panic!("expected route, got {other:?}"),
         };
-        assert_eq!(cmd.spec.parallelism, Parallelism::Width(2));
         assert_eq!(cmd.spec.slicing, Slicing::Monolithic);
         assert_eq!(cmd.spec.swaps_per_gap, Some(2));
         assert_eq!(cmd.spec.totalizer_units, Some(10));
@@ -1108,6 +1091,24 @@ mod tests {
             })
         );
         assert!(cmd.spec.request_id.is_none(), "ids are server-assigned");
+    }
+
+    #[test]
+    fn parallelism_is_an_unknown_route_key() {
+        // Requests carry no solver width: the key bounces like any other
+        // unknown key.
+        for value in ["2", "\"serial\"", "\"auto\""] {
+            let line = format!(
+                r#"{{"verb":"route","router":"satmap","device":"linear:4","circuit":[["cx",0,1]],"parallelism":{value}}}"#
+            );
+            let err = parse_request(&line).unwrap_err();
+            assert!(
+                err.to_string().contains("unknown key 'parallelism'"),
+                "{err}"
+            );
+            let routed: RouteError = err.into();
+            assert!(matches!(routed, RouteError::InvalidRequest(_)));
+        }
     }
 
     #[test]

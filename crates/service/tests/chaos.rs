@@ -1,6 +1,7 @@
-//! Chaos test: a worker panic injected under the daemon's SAT stack must
-//! degrade that one request — never kill the daemon, never poison the
-//! cache with the degraded answer.
+//! Chaos tests: a panic injected under the daemon's SAT stack must degrade
+//! that one request — never kill the daemon, never poison the cache with
+//! the degraded answer — and the daemon's `stats` must count every
+//! attempt that panicked.
 //!
 //! Follows the registry chaos-suite idiom: the process-global
 //! [`FaultPlan`] is installed under a scope guard that restores the
@@ -13,12 +14,12 @@ use std::time::Duration;
 use circuit::{Circuit, RouteRequest};
 use routers::{RoutePolicy, RouterRegistry};
 use sat::chaos::{install_plan, silence_panic_reports};
-use sat::{ChaosBackend, DefaultBackend, FaultPlan, PortfolioBackend};
+use sat::{ChaosBackend, DefaultBackend, FaultPlan};
 use service::wire::{self, parse_json};
 use service::{Daemon, DaemonConfig};
 
 /// The supervised SAT stack with fault injection at the solver boundary.
-type ChaosStack = PortfolioBackend<ChaosBackend<DefaultBackend>>;
+type ChaosStack = ChaosBackend<DefaultBackend>;
 
 /// Serializes every test that touches the process-global fault plan.
 static PLAN_GUARD: Mutex<()> = Mutex::new(());
@@ -142,6 +143,51 @@ fn daemon_survives_injected_worker_panics_without_poisoning_the_cache() {
     assert_eq!(
         stats.get("failed").and_then(|f| f.as_u64()),
         Some(0),
+        "{stats_row}"
+    );
+    client.drain().expect("drain");
+    daemon.join();
+}
+
+#[test]
+fn daemon_stats_count_every_panicked_attempt() {
+    // Every SAT call panics: each attempt of the supervisor's ladder is
+    // caught, and the fallback answers. The outcome row and the daemon's
+    // `stats` must both count all of them.
+    let policy = RoutePolicy {
+        backoff_base: Duration::from_millis(1),
+        backoff_cap: Duration::from_millis(4),
+        ..RoutePolicy::default()
+    };
+    let max_attempts = u64::from(policy.max_attempts);
+    let daemon: Daemon<ChaosStack> = Daemon::bind(DaemonConfig {
+        workers: Some(1),
+        policy,
+        ..DaemonConfig::default()
+    })
+    .expect("bind");
+    let mut client = service::ServiceClient::connect(daemon.local_addr()).expect("connect");
+    let line = wire::route_line("nl-satmap", "linear:4", &fig3(), &[]);
+    let (row, stats_row) = with_plan(FaultPlan::seeded(0xBAD).panic_prob(1.0), || {
+        let id = client.submit_route(&line).expect("submit").id();
+        let row = client.wait(id).expect("an outcome, not a dead daemon");
+        (row, client.stats().expect("stats"))
+    });
+    let v = parse_json(&row).expect("row parses");
+    assert_eq!(
+        v.get("solved").and_then(|s| s.as_bool()),
+        Some(true),
+        "{row}"
+    );
+    assert_eq!(
+        v.get("worker_panics").and_then(|p| p.as_u64()),
+        Some(max_attempts),
+        "{row}"
+    );
+    let stats = parse_json(&stats_row).expect("stats row parses");
+    assert_eq!(
+        stats.get("worker_panics").and_then(|p| p.as_u64()),
+        Some(max_attempts),
         "{stats_row}"
     );
     client.drain().expect("drain");

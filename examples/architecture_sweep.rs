@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use circuit::{verify::verify, Parallelism, RouteRequest};
+use circuit::{verify::verify, RouteRequest};
 use routers::RouterRegistry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,10 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut tk_total = 0usize;
         let mut solved = 0usize;
         for c in &circuits {
-            // Per-request budget and machine-sized SAT portfolio.
-            let request = RouteRequest::new(c, &graph)
-                .with_budget(budget)
-                .with_parallelism(Parallelism::Auto);
+            let request = RouteRequest::new(c, &graph).with_budget(budget);
             // Skip circuits SATMAP cannot finish within the budget (can
             // happen on loaded machines); the comparison uses the rest.
             let Ok(sm) = satmap.route_request(&request).into_result() else {

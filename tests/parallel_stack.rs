@@ -1,11 +1,14 @@
-//! Cross-layer tests of the parallel solving subsystem: request-time
-//! portfolio sizing against serial solving on the paper's workloads,
-//! cooperative cancellation through the budget-inheritance chain, and the
-//! multi-core experiment runner's determinism.
+//! Cross-layer tests of how the stack uses cores: every request is solved
+//! by one plain CDCL solver on the thread that routes it, so concurrent
+//! requests do exactly the work sequential ones do; cooperative
+//! cancellation reaches a solve on another thread through the
+//! budget-inheritance chain; and the multi-core experiment runner's rows
+//! and work counts do not depend on the job count. Two tests also pin the
+//! sat crate's portfolio library, which no routing path uses.
 
 use std::time::{Duration, Instant};
 
-use circuit::{verify::verify, Circuit, Parallelism, RouteRequest, RouteSpec, Slicing};
+use circuit::{verify::verify, Circuit, RouteRequest, RouteSpec, Slicing};
 use experiments::runner::{run_suite, run_tool};
 use routers::RouterRegistry;
 use sat::{
@@ -37,16 +40,10 @@ fn small_workloads() -> Vec<(String, Circuit)> {
 }
 
 #[test]
-fn portfolio_routing_costs_match_serial_requests() {
-    // The same registry router serves a serial and a 4-wide-portfolio
-    // request. Monolithic routes solve to optimality (unlimited budget),
-    // so the SWAP counts must be identical: the portfolio changes the
-    // wall-clock route to the optimum, never the optimum itself. Sliced
-    // routes pin each slice to the previous slice's final map, and a
-    // slice's optimum is rarely unique — so they solve every slice on one
-    // worker whatever the request asks, and must match serial too. The
-    // cyclic router slices and then restores the initial map, the same
-    // per-slice pinning on a second path.
+fn concurrent_routes_do_the_work_of_sequential_ones() {
+    // Cores go to whole requests: routing the same requests on four
+    // threads at once must reproduce the sequential answers and the exact
+    // solver effort, for the sliced, monolithic and cyclic routers.
     let inputs = [
         (
             "nl-satmap",
@@ -56,27 +53,38 @@ fn portfolio_routing_costs_match_serial_requests() {
         ("satmap", arch::devices::tokyo(), Slicing::Sliced(4)),
         ("cyc-satmap", arch::devices::tokyo(), Slicing::Sliced(4)),
     ];
+    let work = |o: &circuit::RouteOutcome| {
+        let t = o.telemetry();
+        (
+            o.routed().map(|r| r.added_gates()),
+            t.sat_calls,
+            t.conflicts,
+            t.decisions,
+            t.propagations,
+        )
+    };
     for (router_name, graph, slicing) in inputs {
         let router = RouterRegistry::standard()
             .create(router_name)
             .expect("registered");
-        for (name, circuit) in small_workloads() {
-            let name = format!("{router_name}/{name}");
-            let request = RouteRequest::new(&circuit, &graph).with_slicing(slicing);
-            let serial = router
-                .route_request(&request.clone().with_parallelism(Parallelism::Serial))
-                .into_result()
-                .unwrap_or_else(|e| panic!("{name}: serial failed: {e}"));
-            let wide = router
-                .route_request(&request.with_parallelism(Parallelism::Width(4)))
-                .into_result()
-                .unwrap_or_else(|e| panic!("{name}: portfolio failed: {e}"));
-            verify(&circuit, &graph, &wide).unwrap_or_else(|e| panic!("{name}: unverified: {e}"));
-            assert_eq!(
-                serial.added_gates(),
-                wide.added_gates(),
-                "{name}: portfolio must reproduce the serial cost"
-            );
+        let workloads = small_workloads();
+        let route = |circuit: &Circuit| {
+            router.route_request(&RouteRequest::new(circuit, &graph).with_slicing(slicing))
+        };
+        let sequential: Vec<_> = workloads.iter().map(|(_, c)| work(&route(c))).collect();
+        let concurrent: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = workloads
+                .iter()
+                .map(|(_, c)| s.spawn(move || work(&route(c))))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("route thread"))
+                .collect()
+        });
+        for ((name, _), (seq, conc)) in workloads.iter().zip(sequential.iter().zip(&concurrent)) {
+            assert!(seq.0.is_some(), "{router_name}/{name}: solves");
+            assert_eq!(seq, conc, "{router_name}/{name}: work depends on threading");
         }
     }
 }
@@ -136,64 +144,6 @@ fn core_guided_strategy_routes_the_fig3_example() {
     assert_eq!(routed.swap_count(), 1, "fig3 optimum");
     assert_eq!(outcome.telemetry().strategy, Some("core-guided"));
     assert!(outcome.to_json().contains("\"strategy\":\"core-guided\""));
-    assert!(outcome.to_json().contains("\"clauses_imported\":"));
-}
-
-#[test]
-fn portfolio_telemetry_reports_winner_through_the_stack() {
-    let graph = arch::devices::tokyo_minus();
-    let router = RouterRegistry::standard()
-        .create("nl-satmap")
-        .expect("registered");
-    let circuit = fig3();
-    let request = RouteRequest::new(&circuit, &graph).with_parallelism(Parallelism::Width(4));
-    let outcome = router.route_request(&request);
-    assert!(outcome.solved(), "fig3 routes");
-    assert!(outcome.telemetry().sat_calls > 0);
-    assert!(
-        outcome.telemetry().winning_worker.is_some(),
-        "the winning worker index must flow up into telemetry: {}",
-        outcome.telemetry()
-    );
-    assert_eq!(outcome.diagnostic("portfolio_width"), Some("4"));
-}
-
-#[test]
-fn auto_race_on_fig3_dispatches_one_linear_worker_without_sharing() {
-    // Dispatch regression: a fig3-sized request under the `Auto` hints
-    // (parallelism and strategy) must resolve to a width-1 linear plan
-    // that exchanges no clauses — the bench data says the parallel
-    // machinery loses on instances this small, and the decision must be
-    // visible in telemetry and the JSON row.
-    let graph = arch::devices::tokyo_minus();
-    let router = RouterRegistry::standard()
-        .create("nl-satmap")
-        .expect("registered");
-    let circuit = fig3();
-    let outcome = router.route_request(
-        &RouteRequest::new(&circuit, &graph)
-            .with_parallelism(Parallelism::Auto)
-            .with_strategy(circuit::SearchStrategy::Auto),
-    );
-    let routed = outcome.routed().expect("solves");
-    verify(&circuit, &graph, routed).expect("verifies");
-    assert_eq!(routed.swap_count(), 1, "fig3 optimum");
-    let t = outcome.telemetry();
-    assert_eq!(t.dispatch_width, 1, "small instances stay width 1");
-    assert_eq!(t.strategy, Some("linear-sat-unsat"), "unweighted: linear");
-    assert_eq!(
-        (t.clauses_exported, t.clauses_imported),
-        (0, 0),
-        "no exchange for a lone worker"
-    );
-    assert!(
-        t.dispatch_hardness > 0 && t.dispatch_hardness < maxsat::dispatch::SMALL_INSTANCE,
-        "fig3 sits below the small-instance gate, got {}",
-        t.dispatch_hardness
-    );
-    let row = outcome.to_json();
-    assert!(row.contains("\"dispatch_width\":1"), "{row}");
-    assert!(row.contains("\"strategy\":\"linear-sat-unsat\""), "{row}");
 }
 
 /// Hard pigeonhole clauses: would run far longer than any test timeout.
@@ -215,61 +165,62 @@ fn load_pigeonhole<B: SatBackend>(backend: &mut B, pigeons: usize, holes: usize)
 
 #[test]
 fn cancellation_kills_workers_mid_search_without_panic() {
-    // Stress: repeatedly kill a racing portfolio mid-search from another
-    // thread; every round must come back Unknown promptly, leave no panic,
-    // and still charge the effort spent to the merged statistics.
+    // Stress: repeatedly kill a solve running on a worker thread (as the
+    // daemon's `abort` verb does) from another thread; every round must
+    // come back Unknown promptly, leave no panic, and still charge the
+    // effort spent to the solver's statistics.
     let started = Instant::now();
     for round in 0..5u64 {
-        let mut p = PortfolioBackend::<DefaultBackend>::with_width(3);
-        load_pigeonhole(&mut p, 10, 9);
+        let mut solver = DefaultBackend::default();
+        load_pigeonhole(&mut solver, 10, 9);
         let (budget, token) = ResourceBudget::unlimited().cancellable();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                std::thread::sleep(Duration::from_millis(10 + 7 * round));
-                token.cancel();
+        let stats = std::thread::scope(|s| {
+            let worker = s.spawn(move || {
+                let r = solver.solve_under_assumptions(&[], &budget);
+                assert_eq!(r, SolveResult::Unknown, "round {round}: cancel must win");
+                *solver.stats()
             });
-            let r = p.solve_under_assumptions(&[], &budget);
-            assert_eq!(r, SolveResult::Unknown, "round {round}: cancel must win");
+            std::thread::sleep(Duration::from_millis(10 + 7 * round));
+            token.cancel();
+            worker.join().expect("worker must not panic")
         });
         assert!(
-            p.stats().decisions > 0 || p.stats().propagations > 0,
-            "round {round}: killed workers must still charge telemetry"
+            stats.decisions > 0 || stats.propagations > 0,
+            "round {round}: a killed solve must still charge telemetry"
         );
     }
     assert!(
         started.elapsed() < Duration::from_secs(60),
-        "cancellation must cut each race to ~the kill delay"
+        "cancellation must cut each solve to ~the kill delay"
     );
 }
 
 #[test]
 fn child_worker_cannot_outlive_parent_budget() {
-    // The race token is a child of the caller's token: cancelling the
-    // *parent* (as an experiment sweep teardown would) must stop the whole
-    // portfolio, even though each worker armed its own child budget.
+    // The worker's budget is a child of the caller's: cancelling the
+    // *parent* (as an experiment sweep teardown would) must stop the
+    // worker's solve, even though the worker armed its own child budget.
     let (parent, parent_token) = ResourceBudget::unlimited().cancellable();
     let (child, _child_token) = parent.cancellable();
-    let mut p = PortfolioBackend::<DefaultBackend>::with_width(2);
-    load_pigeonhole(&mut p, 10, 9);
+    let mut solver = DefaultBackend::default();
+    load_pigeonhole(&mut solver, 10, 9);
     let started = Instant::now();
     std::thread::scope(|s| {
-        s.spawn(|| {
-            std::thread::sleep(Duration::from_millis(30));
-            parent_token.cancel();
-        });
-        let r = p.solve_under_assumptions(&[], &child);
-        assert_eq!(r, SolveResult::Unknown);
+        let worker = s.spawn(move || solver.solve_under_assumptions(&[], &child));
+        std::thread::sleep(Duration::from_millis(30));
+        parent_token.cancel();
+        assert_eq!(worker.join().expect("worker"), SolveResult::Unknown);
     });
     assert!(
         started.elapsed() < Duration::from_secs(30),
-        "grandchild workers outlived the cancelled ancestor budget"
+        "the worker's solve outlived the cancelled ancestor budget"
     );
 }
 
 #[test]
 fn cancel_token_reaches_a_plain_solver_deep_in_the_chain() {
-    // Not just portfolios: any solver armed with a descendant budget stops
-    // when an ancestor token fires, regardless of nesting depth.
+    // Any solver armed with a descendant budget stops when an ancestor
+    // token fires, regardless of nesting depth.
     let mut solver = DefaultBackend::default();
     load_pigeonhole(&mut solver, 10, 9);
     let (root, token) = ResourceBudget::unlimited().cancellable();
@@ -291,68 +242,13 @@ fn cancel_token_reaches_a_plain_solver_deep_in_the_chain() {
 }
 
 #[test]
-fn sharing_portfolio_maxsat_costs_match_serial_backend() {
-    // The acceptance bar for clause sharing: a width-4 sharing portfolio
-    // driven by the MaxSAT engine must land on exactly the optimal costs
-    // the serial backend proves, across weighted instances. (Sharing is on
-    // by default, so the width-4 path here races cooperating workers.)
-    use maxsat::{solve_with_options, MaxSatStatus, SolveOptions, WcnfInstance};
-
-    let build_instances = || -> Vec<WcnfInstance> {
-        let mut instances = Vec::new();
-        // Weighted choice chain.
-        let mut inst = WcnfInstance::new();
-        let a = inst.new_var().positive();
-        let b = inst.new_var().positive();
-        let c = inst.new_var().positive();
-        inst.add_hard([a, b]);
-        inst.add_hard([!a, c]);
-        inst.add_soft(5, [!a]);
-        inst.add_soft(2, [!b]);
-        inst.add_soft(1, [!c]);
-        instances.push(inst);
-        // Pigeonhole-flavoured: every pigeon placed softly, holes exclusive.
-        let mut php = WcnfInstance::new();
-        let vars: Vec<_> = (0..6).map(|_| php.new_var().positive()).collect();
-        for p in 0..3 {
-            php.add_soft(1 + p as u64, [vars[2 * p], vars[2 * p + 1]]);
-        }
-        for h in 0..2 {
-            for p1 in 0..3 {
-                for p2 in (p1 + 1)..3 {
-                    php.add_hard([!vars[2 * p1 + h], !vars[2 * p2 + h]]);
-                }
-            }
-        }
-        instances.push(php);
-        instances
-    };
-
-    for (i, inst) in build_instances().into_iter().enumerate() {
-        let serial = maxsat::solve(&inst, ResourceBudget::unlimited());
-        let portfolio = solve_with_options::<PortfolioBackend<DefaultBackend>>(
-            &inst,
-            &ResourceBudget::unlimited(),
-            &SolveOptions::default().with_portfolio_width(4),
-        );
-        assert_eq!(serial.status, portfolio.status, "instance {i}");
-        assert_eq!(
-            serial.cost, portfolio.cost,
-            "instance {i}: sharing portfolio must reproduce the serial optimum"
-        );
-        if serial.status == MaxSatStatus::Optimal {
-            let model = portfolio.model.expect("optimal outcome has a model");
-            assert_eq!(inst.cost_of(&model), portfolio.cost, "instance {i}");
-        }
-    }
-}
-
-#[test]
 fn sharing_on_and_off_portfolios_agree_and_cooperate() {
-    // Same hard UNSAT race with sharing on and off: identical answers,
-    // and the sharing side must actually move clauses (nonzero imports).
-    // PHP(7,6) sits below the default sharing size gate, so the sharing
-    // side opens it explicitly — the override the gate documents.
+    // The sat crate's portfolio backend, a library component the routing
+    // stack does not use. Same hard UNSAT race with sharing on and off:
+    // identical answers, and the sharing side must actually move clauses
+    // (nonzero imports). PHP(7,6) sits below the default sharing size
+    // gate, so the sharing side opens it explicitly — the override the
+    // gate documents.
     let mut with_sharing = PortfolioBackend::<DefaultBackend>::with_width(4);
     with_sharing.set_sharing_min_instance_size(0);
     load_pigeonhole(&mut with_sharing, 7, 6);
@@ -381,16 +277,16 @@ fn sharing_on_and_off_portfolios_agree_and_cooperate() {
 }
 
 #[test]
-fn routing_telemetry_carries_arena_and_sharing_fields() {
-    // The new counters must flow through maxsat into RouteOutcome and its
-    // JSON row — the schema the experiment sweeps and BENCH_satmap.json
-    // share.
+fn routing_telemetry_carries_arena_fields() {
+    // The arena counters must flow through maxsat into RouteOutcome and
+    // its JSON row — the schema the experiment sweeps and
+    // BENCH_satmap.json share.
     let graph = arch::devices::tokyo_minus();
     let router = RouterRegistry::standard()
         .create("nl-satmap")
         .expect("registered");
     let circuit = fig3();
-    let request = RouteRequest::new(&circuit, &graph).with_parallelism(Parallelism::Width(2));
+    let request = RouteRequest::new(&circuit, &graph);
     let outcome = router.route_request(&request);
     assert!(outcome.solved(), "fig3 routes");
     assert!(
@@ -399,12 +295,7 @@ fn routing_telemetry_carries_arena_and_sharing_fields() {
         outcome.telemetry()
     );
     let json = outcome.to_json();
-    for key in [
-        "\"clauses_exported\":",
-        "\"clauses_imported\":",
-        "\"compactions\":",
-        "\"arena_bytes\":",
-    ] {
+    for key in ["\"compactions\":", "\"arena_bytes\":"] {
         assert!(json.contains(key), "row schema must carry {key}: {json}");
     }
 }
@@ -423,39 +314,56 @@ fn diversified_workers_agree_on_unsat() {
 fn jobs_4_runner_rows_match_jobs_1() {
     // The acceptance criterion behind `--jobs N`: outputs are order-stable
     // and solution-identical for any job count (wall-clock columns aside,
-    // which no fixed schedule could pin down).
+    // which no fixed schedule could pin down), and since every request
+    // solves on one thread, the solver work behind each row is identical
+    // too.
     let suite: Vec<circuit::suite::Benchmark> = small_workloads()
         .into_iter()
         .map(|(name, circuit)| circuit::suite::Benchmark { name, circuit })
         .collect();
     let graph = arch::devices::tokyo();
-    let router = RouterRegistry::standard()
-        .create("satmap")
-        .expect("registered");
-    let spec = RouteSpec {
-        slicing: Slicing::Sliced(4),
-        // Auto resolves against the job count inside run_suite — the
-        // budget-aware portfolio sizing under test here.
-        parallelism: Parallelism::Auto,
-        ..RouteSpec::default()
-    };
-    let serial = run_suite(&*router, &suite, &graph, &spec, 1);
-    let parallel = run_suite(&*router, &suite, &graph, &spec, 4);
-    let rows = |outcomes: &[experiments::runner::RunOutcome]| -> Vec<String> {
-        outcomes
-            .iter()
-            .map(|o| format!("{}|{}|{:?}|{:?}", o.name, o.size, o.cost, o.error))
-            .collect()
-    };
-    assert_eq!(
-        rows(&serial),
-        rows(&parallel),
-        "--jobs 4 must reproduce --jobs 1 byte-for-byte (timing aside)"
-    );
-    // And the parallel path agrees with the plain single-instance API.
-    for (bench, row) in suite.iter().zip(&parallel) {
-        let direct = run_tool(&*router, bench, &graph, &spec);
-        assert_eq!(direct.cost, row.cost, "{}", bench.name);
+    for (router_name, slicing) in [
+        ("satmap", Slicing::Sliced(4)),
+        ("nl-satmap", Slicing::RouterDefault),
+    ] {
+        let spec = RouteSpec {
+            slicing,
+            ..RouteSpec::default()
+        };
+        let router = RouterRegistry::standard()
+            .create(router_name)
+            .expect("registered");
+        let serial = run_suite(&*router, &suite, &graph, &spec, 1);
+        let parallel = run_suite(&*router, &suite, &graph, &spec, 4);
+        let rows = |outcomes: &[experiments::runner::RunOutcome]| -> Vec<String> {
+            outcomes
+                .iter()
+                .map(|o| {
+                    let t = &o.telemetry;
+                    format!(
+                        "{}|{}|{:?}|{:?}|sat_calls={}|conflicts={}|decisions={}|propagations={}",
+                        o.name,
+                        o.size,
+                        o.cost,
+                        o.error,
+                        t.sat_calls,
+                        t.conflicts,
+                        t.decisions,
+                        t.propagations
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(
+            rows(&serial),
+            rows(&parallel),
+            "{router_name}: --jobs 4 must reproduce --jobs 1 (timing aside)"
+        );
+        // And the parallel path agrees with the plain single-instance API.
+        for (bench, row) in suite.iter().zip(&parallel) {
+            let direct = run_tool(&*router, bench, &graph, &spec);
+            assert_eq!(direct.cost, row.cost, "{router_name}/{}", bench.name);
+        }
     }
 }
 

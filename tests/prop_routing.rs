@@ -5,11 +5,11 @@
 use proptest::prelude::*;
 
 use circuit::{
-    verify::verify, Circuit, Objective, Parallelism, RouteRequest, RoutedCircuit, RoutedOp, Router,
+    verify::verify, Circuit, Objective, RouteRequest, RoutedCircuit, RoutedOp, Router,
     SearchStrategy,
 };
 use heuristics::{Sabre, Tket};
-use satmap::{PortfolioSatMap, SatMap, SatMapConfig};
+use satmap::{SatMap, SatMapConfig};
 
 /// Strategy: a random circuit over `n` qubits with up to `max_gates`
 /// two-qubit gates plus sprinkled single-qubit gates.
@@ -111,12 +111,12 @@ proptest! {
         c in circuit_strategy(4, 6),
         weighted in prop::bool::ANY,
     ) {
-        // The adaptive dispatcher (Auto width, Auto strategy) may pick any
-        // worker plan, but both requests prove optimality under an
-        // unlimited budget, so the objective value must match a forced
-        // serial linear solve exactly — weighted and unweighted alike.
+        // The `Auto` strategy rule may pick either search, but both
+        // requests prove optimality under an unlimited budget, so the
+        // objective value must match a forced linear solve exactly —
+        // weighted and unweighted alike.
         let graph = arch::devices::ring(4);
-        let router = PortfolioSatMap::with_backend(SatMapConfig::monolithic());
+        let router = SatMap::new(SatMapConfig::monolithic());
         let objective = if weighted {
             Objective::Fidelity(arch::NoiseModel::synthetic(&graph, 7))
         } else {
@@ -125,13 +125,11 @@ proptest! {
         let dispatched = router.route_request(
             &RouteRequest::new(&c, &graph)
                 .with_objective(objective.clone())
-                .with_parallelism(Parallelism::Auto)
                 .with_strategy(SearchStrategy::Auto),
         );
         let forced = router.route_request(
             &RouteRequest::new(&c, &graph)
                 .with_objective(objective.clone())
-                .with_parallelism(Parallelism::Serial)
                 .with_strategy(SearchStrategy::Linear),
         );
         let d = dispatched.routed().expect("dispatched request solves");
