@@ -979,11 +979,8 @@ impl Solver {
                     self.extract_core(conflict, assumptions);
                     return SearchOutcome::Unsat;
                 }
-                let (learnt, bt_level) = self.analyze(conflict);
-                // Never backtrack into the middle of the assumption prefix
-                // with an asserting clause that assumes deeper context.
-                let bt = bt_level;
-                self.cancel_until(bt.max(self.assumption_level_floor(assumptions, bt)));
+                let (learnt, bt) = self.analyze(conflict);
+                self.cancel_until(bt);
                 self.record_learnt(learnt);
                 self.decay_activities();
                 if self.db.num_learnt as f64 > self.max_learnt {
@@ -1039,61 +1036,78 @@ impl Solver {
         }
     }
 
-    fn assumption_level_floor(&self, assumptions: &[Lit], bt: u32) -> u32 {
-        // Keep the solver at or below the assumption prefix if the asserting
-        // level falls inside it; re-entry re-establishes assumptions.
-        let _ = assumptions;
-        bt
-    }
-
     /// Computes the set of assumption literals entailed in `conflict`.
     fn extract_core(&mut self, conflict: ClauseRef, assumptions: &[Lit]) {
-        use std::collections::HashSet;
-        let assumption_set: HashSet<Lit> = assumptions.iter().copied().collect();
-        let mut seen = vec![false; self.num_vars()];
-        let mut queue: Vec<Lit> = self.db.lits(conflict).to_vec();
-        let mut core = Vec::new();
+        let (assumption_set, mut queue, mut core) = self.begin_core_walk(assumptions);
+        queue.extend_from_slice(self.db.lits(conflict));
         while let Some(l) = queue.pop() {
             let v = l.var().index();
-            if seen[v] || self.level[v] == 0 {
+            if self.seen[v] || self.level[v] == 0 {
                 continue;
             }
-            seen[v] = true;
-            if assumption_set.contains(&!l) {
+            self.seen[v] = true;
+            if assumption_set.binary_search(&!l).is_ok() {
                 core.push(!l);
             } else if let Some(r) = self.reason[v] {
-                queue.extend(self.db.lits(r).iter().copied());
+                queue.extend_from_slice(self.db.lits(r));
             }
         }
-        self.conflict_core = core;
+        self.end_core_walk(assumption_set, queue, core);
     }
 
     fn extract_core_from_assumption(&mut self, failed: Lit, assumptions: &[Lit]) {
-        use std::collections::HashSet;
-        let assumption_set: HashSet<Lit> = assumptions.iter().copied().collect();
-        let mut seen = vec![false; self.num_vars()];
-        let mut core = vec![failed];
+        let (assumption_set, mut queue, mut core) = self.begin_core_walk(assumptions);
+        core.push(failed);
         // `queue` holds literals that are FALSE under the current trail and
         // whose (true) complements still need explaining.
-        let mut queue: Vec<Lit> = vec![failed];
+        queue.push(failed);
         while let Some(l) = queue.pop() {
             let v = l.var().index();
-            if seen[v] || self.level[v] == 0 {
+            if self.seen[v] || self.level[v] == 0 {
                 continue;
             }
-            seen[v] = true;
+            self.seen[v] = true;
             let t = !l; // the literal that is true on the trail
-            if t != !failed && assumption_set.contains(&t) {
+            let assumed = assumption_set.binary_search(&t).is_ok();
+            if t != !failed && assumed {
                 core.push(t);
             } else if let Some(r) = self.reason[v] {
                 queue.extend(self.db.lits(r).iter().copied().filter(|&q| q != t));
-            } else if assumption_set.contains(&t) {
+            } else if assumed {
                 // Contradictory assumption pair {failed, ¬failed}.
                 core.push(t);
             }
         }
         core.sort_unstable();
         core.dedup();
+        self.end_core_walk(assumption_set, queue, core);
+    }
+
+    /// The reused scratch of a core walk: the assumptions sorted for
+    /// binary-search membership (in the `analyze_clear` buffer), an empty
+    /// DFS queue (the `minimize_stack` buffer) and the emptied core.
+    fn begin_core_walk(&mut self, assumptions: &[Lit]) -> (Vec<Lit>, Vec<Lit>, Vec<Lit>) {
+        let mut sorted = std::mem::take(&mut self.analyze_clear);
+        sorted.clear();
+        sorted.extend_from_slice(assumptions);
+        sorted.sort_unstable();
+        let mut queue = std::mem::take(&mut self.minimize_stack);
+        queue.clear();
+        let mut core = std::mem::take(&mut self.conflict_core);
+        core.clear();
+        (sorted, queue, core)
+    }
+
+    /// Returns a core walk's scratch and clears its `seen` marks: the walk
+    /// marks only variables assigned above the root, which all sit on the
+    /// trail past the first decision level.
+    fn end_core_walk(&mut self, sorted: Vec<Lit>, queue: Vec<Lit>, core: Vec<Lit>) {
+        let above_root = self.trail_lim.first().map_or(self.trail.len(), |&i| i);
+        for &l in &self.trail[above_root..] {
+            self.seen[l.var().index()] = false;
+        }
+        self.analyze_clear = sorted;
+        self.minimize_stack = queue;
         self.conflict_core = core;
     }
 
