@@ -73,11 +73,10 @@ pub enum Slicing {
 /// dependency on the engine crate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SearchStrategy {
-    /// Let the engine pick per solver call from the built instance's
-    /// features: objectives dominated by weighted softs (fidelity mode)
-    /// run the stratified core-guided search, everything else the
-    /// paper's linear search. Unweighted requests therefore behave
-    /// exactly like [`SearchStrategy::Linear`].
+    /// The router's default search. The SATMAP routers run the stratified
+    /// core-guided search for every objective, so `Auto` behaves exactly
+    /// like [`SearchStrategy::CoreGuided`] there; the OLSQ baselines run
+    /// the linear search.
     #[default]
     Auto,
     /// Model-improving linear SAT-UNSAT search (the paper's behaviour).

@@ -10,42 +10,16 @@ use circuit::{Objective, RouteRequest, SearchStrategy, Slicing};
 use sat::ResourceBudget;
 
 /// Maps the request-level strategy knob onto the MaxSAT engine's enum
-/// (the `circuit` crate cannot name `maxsat` types). `Auto` — the
-/// request default — resolves from the instance's soft clauses per
-/// solver call: an objective dominated by weighted softs (fidelity mode)
-/// runs the stratified core-guided search (see [`prefers_core`]),
-/// everything else — in particular every unweighted swap-count request —
-/// runs the paper's linear search, byte-identical to an explicit
-/// [`SearchStrategy::Linear`].
-pub(crate) fn engine_strategy(
-    strategy: SearchStrategy,
-    softs: &[maxsat::SoftClause],
-) -> maxsat::Strategy {
+/// (the `circuit` crate cannot name `maxsat` types). `Auto` — the request
+/// default — is the stratified core-guided search for every objective.
+/// On sliced swap-count routing it needs about a fifth of the linear
+/// search's conflicts; it is slower on small circuits whose optimum the
+/// linear search proves in a few calls (measurements in ROADMAP item 4).
+pub(crate) fn engine_strategy(strategy: SearchStrategy) -> maxsat::Strategy {
     match strategy {
         SearchStrategy::Linear => maxsat::Strategy::LinearSatUnsat,
-        SearchStrategy::CoreGuided => maxsat::Strategy::CoreGuided,
-        SearchStrategy::Auto => {
-            if prefers_core(softs) {
-                maxsat::Strategy::CoreGuided
-            } else {
-                maxsat::Strategy::LinearSatUnsat
-            }
-        }
+        SearchStrategy::CoreGuided | SearchStrategy::Auto => maxsat::Strategy::CoreGuided,
     }
-}
-
-/// True when the weight-stratified core-guided search is the better
-/// single-strategy bet: a *weighted* objective, with at least as many
-/// weighted softs (weight other than 1) as unweighted ones. On such
-/// instances the linear search must build (and repeatedly extend) a
-/// generalized totalizer over every weighted soft — the dominant cost on
-/// the fidelity objective (measured ~7x slower than stratified
-/// core-guided on `q6_noise/fidelity`) — while core-guided relaxations
-/// stay core-local. Unweighted objectives keep the linear default: models
-/// come easily and the counting totalizer is cheap.
-pub(crate) fn prefers_core(softs: &[maxsat::SoftClause]) -> bool {
-    let weighted = softs.iter().filter(|s| s.weight != 1).count();
-    weighted > 0 && 2 * weighted >= softs.len()
 }
 
 /// Construction-time defaults of the SATMAP router.
@@ -134,14 +108,9 @@ impl SatMapConfig {
             swaps_per_gap: request.swaps_per_gap().unwrap_or(self.swaps_per_gap).max(1),
             backtrack_limit: self.backtrack_limit,
             objective: request.objective().clone(),
-            // The strategy is resolved without an instance here (`Auto`
-            // reads as linear); [`Resolved::options_for`] re-resolves it
-            // per solver call, so `Auto` can pick core-guided for
-            // weighted instances.
             options: maxsat::SolveOptions::default()
                 .with_totalizer_units(request.totalizer_units().unwrap_or(self.totalizer_units))
-                .with_strategy(engine_strategy(request.strategy(), &[])),
-            strategy: request.strategy(),
+                .with_strategy(engine_strategy(request.strategy())),
             budget: request.budget().clone(),
         }
     }
@@ -156,20 +125,7 @@ pub(crate) struct Resolved {
     pub backtrack_limit: usize,
     pub objective: Objective,
     pub options: maxsat::SolveOptions,
-    /// The request-level strategy knob, kept alongside the
-    /// instance-free `options.strategy` so [`Resolved::options_for`] can
-    /// re-resolve `Auto` once the instance is built.
-    pub strategy: SearchStrategy,
     pub budget: ResourceBudget,
-}
-
-impl Resolved {
-    /// The engine options for one solver call on `instance`: the shared
-    /// knobs plus the strategy `Auto` resolves to for its soft clauses.
-    pub fn options_for(&self, instance: &maxsat::WcnfInstance) -> maxsat::SolveOptions {
-        self.options
-            .with_strategy(engine_strategy(self.strategy, instance.soft_clauses()))
-    }
 }
 
 #[cfg(test)]
@@ -177,17 +133,6 @@ mod tests {
     use super::*;
     use circuit::Circuit;
     use std::time::Duration;
-
-    /// `unit` softs of weight 1 followed by `weighted` softs of weight 5.
-    fn softs(unit: usize, weighted: usize) -> Vec<maxsat::SoftClause> {
-        let lit = sat::Var::new(0).positive();
-        (0..unit + weighted)
-            .map(|i| maxsat::SoftClause {
-                weight: if i < unit { 1 } else { 5 },
-                lits: vec![lit],
-            })
-            .collect()
-    }
 
     #[test]
     fn defaults_match_paper() {
@@ -238,41 +183,30 @@ mod tests {
     #[test]
     fn strategy_knob_maps_onto_engine_enum() {
         assert_eq!(
-            engine_strategy(SearchStrategy::Linear, &[]),
+            engine_strategy(SearchStrategy::Linear),
             maxsat::Strategy::LinearSatUnsat
         );
         assert_eq!(
-            engine_strategy(SearchStrategy::CoreGuided, &[]),
+            engine_strategy(SearchStrategy::CoreGuided),
             maxsat::Strategy::CoreGuided
         );
         assert_eq!(SearchStrategy::default(), SearchStrategy::Auto);
     }
 
     #[test]
-    fn auto_strategy_follows_the_weighted_soft_share() {
-        // Unweighted (swap-count) instances keep the paper's linear
-        // search; weighted-soft-dominated (fidelity) instances get the
-        // stratified core-guided search.
-        assert_eq!(
-            engine_strategy(SearchStrategy::Auto, &softs(10, 0)),
-            maxsat::Strategy::LinearSatUnsat
-        );
-        assert_eq!(
-            engine_strategy(SearchStrategy::Auto, &softs(1, 9)),
-            maxsat::Strategy::CoreGuided
-        );
-        // An explicit knob is never second-guessed by the softs.
-        assert_eq!(
-            engine_strategy(SearchStrategy::Linear, &softs(1, 9)),
-            maxsat::Strategy::LinearSatUnsat
-        );
-    }
-
-    #[test]
-    fn prefers_core_tracks_the_weighted_soft_share() {
-        assert!(!prefers_core(&softs(10, 0)));
-        assert!(prefers_core(&softs(5, 5)), "half weighted is enough");
-        assert!(!prefers_core(&softs(6, 4)));
-        assert!(!prefers_core(&[]), "no softs");
+    fn auto_strategy_is_core_guided_for_every_objective() {
+        let c = Circuit::new(2);
+        let g = arch::devices::linear(2);
+        let config = SatMapConfig::default();
+        let fidelity = Objective::Fidelity(arch::NoiseModel::synthetic(&g, 7));
+        for objective in [Objective::SwapCount, fidelity] {
+            let req = RouteRequest::new(&c, &g).with_objective(objective.clone());
+            assert_eq!(req.strategy(), SearchStrategy::Auto);
+            assert_eq!(
+                config.resolve(&req).options.strategy,
+                maxsat::Strategy::CoreGuided,
+                "{objective:?}"
+            );
+        }
     }
 }

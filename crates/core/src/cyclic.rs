@@ -201,8 +201,7 @@ impl<B: SatBackend + Default + Send> CyclicSatMap<B> {
             );
             enc.require_cyclic();
             telemetry.encode_time += encode_start.elapsed();
-            let options = p.options_for(enc.instance());
-            let out = maxsat::solve_with_options::<B>(enc.instance(), budget, &options);
+            let out = maxsat::solve_with_options::<B>(enc.instance(), budget, &p.options);
             telemetry.absorb(&out.telemetry);
             proof.observe(&out);
             return match out.status {
@@ -297,8 +296,7 @@ impl<B: SatBackend + Default + Send> CyclicSatMap<B> {
             enc.pin_initial_map(from);
             enc.pin_final_map(to);
             telemetry.encode_time += encode_start.elapsed();
-            let options = p.options_for(enc.instance());
-            let out = maxsat::solve_with_options::<B>(enc.instance(), budget, &options);
+            let out = maxsat::solve_with_options::<B>(enc.instance(), budget, &p.options);
             telemetry.absorb(&out.telemetry);
             proof.observe(&out);
             match out.status {

@@ -153,7 +153,7 @@ fn decode_monolithic(
 }
 
 /// Proof status of a routing attempt's accepted models, threaded through
-/// every solver call of the attempt. Starts proven; the first
+/// every solver call of the attempt. Starts proven; a
 /// [`MaxSatStatus::Feasible`] answer downgrades it and records *why* the
 /// proof was lost, so a `degraded` row is diagnosable: weight
 /// quantization caps the claim at Feasible even when the search ran to
@@ -172,16 +172,18 @@ impl Proof {
         }
     }
 
-    /// Downgrades the proof when `out` accepted an unproven incumbent,
-    /// keeping the first downgrade's reason.
+    /// Downgrades the proof when `out` accepted an unproven incumbent. A
+    /// completed search over quantized weights reads `quantized`; any other
+    /// unproven answer reads `budget-exhausted`, which overrides an earlier
+    /// `quantized` so the route stays worth a retry with more budget.
     pub(crate) fn observe(&mut self, out: &maxsat::MaxSatOutcome) {
         if matches!(out.status, MaxSatStatus::Feasible) {
             self.proved = false;
-            self.reason.get_or_insert(if out.quantum > 1 {
-                "quantized"
+            if out.quantum > 1 && !out.budget_exhausted {
+                self.reason.get_or_insert("quantized");
             } else {
-                "budget-exhausted"
-            });
+                self.reason = Some("budget-exhausted");
+            }
         }
     }
 }
@@ -238,8 +240,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
         budget: &ResourceBudget,
         telemetry: &mut SolverTelemetry,
     ) -> maxsat::MaxSatOutcome {
-        let options = p.options_for(enc.instance());
-        let out = maxsat::solve_with_options::<B>(enc.instance(), budget, &options);
+        let out = maxsat::solve_with_options::<B>(enc.instance(), budget, &p.options);
         telemetry.absorb(&out.telemetry);
         out
     }
@@ -398,9 +399,8 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
                 );
             }
             let budget = p.budget.arm();
-            let options = p.options_for(artifact.instance());
             let out =
-                maxsat::solve_with_session::<B>(artifact.instance(), &budget, &options, session);
+                maxsat::solve_with_session::<B>(artifact.instance(), &budget, &p.options, session);
             telemetry.absorb(&out.telemetry);
             proof.observe(&out);
             (
@@ -453,9 +453,8 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
             },
         };
         let budget = p.budget.arm();
-        let options = p.options_for(artifact.instance());
         let out =
-            maxsat::solve_with_session::<B>(artifact.instance(), &budget, &options, &mut session);
+            maxsat::solve_with_session::<B>(artifact.instance(), &budget, &p.options, &mut session);
         telemetry.absorb(&out.telemetry);
         let mut proof = Proof::new();
         proof.observe(&out);
@@ -600,7 +599,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
                         let retry = maxsat::solve_with_options::<B>(
                             prev_enc.instance(),
                             budget,
-                            &p.options_for(prev_enc.instance()),
+                            &p.options,
                         );
                         telemetry.absorb(&retry.telemetry);
                         proof.observe(&retry);
@@ -751,6 +750,82 @@ mod tests {
             c,
             ConnectivityGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)]),
         )
+    }
+
+    fn feasible(quantum: u64, budget_exhausted: bool) -> maxsat::MaxSatOutcome {
+        maxsat::MaxSatOutcome {
+            status: MaxSatStatus::Feasible,
+            model: Some(Vec::new()),
+            cost: Some(0),
+            iterations: 1,
+            quantum,
+            strategy: "core-guided",
+            budget_exhausted,
+            telemetry: SolverTelemetry::new(),
+        }
+    }
+
+    #[test]
+    fn budget_exhaustion_outranks_quantization_in_the_proof() {
+        let mut proof = Proof::new();
+        proof.observe(&feasible(4, false));
+        assert_eq!(proof.reason, Some("quantized"));
+        proof.observe(&feasible(4, true));
+        assert_eq!(proof.reason, Some("budget-exhausted"));
+        proof.observe(&feasible(4, false));
+        assert_eq!(
+            proof.reason,
+            Some("budget-exhausted"),
+            "never downgraded back"
+        );
+        assert!(!proof.proved);
+        // A quantized search that ran out of budget reads as such.
+        let mut proof = Proof::new();
+        proof.observe(&feasible(4, true));
+        assert_eq!(proof.reason, Some("budget-exhausted"));
+    }
+
+    #[test]
+    fn default_swap_count_route_runs_core_guided_search() {
+        let (c, g) = fig3();
+        let outcome =
+            SatMap::new(SatMapConfig::default()).route_request(&RouteRequest::new(&c, &g));
+        assert_eq!(outcome.quality(), RouteQuality::Optimal);
+        assert_eq!(outcome.routed().expect("solves").swap_count(), 1);
+        assert_eq!(outcome.telemetry().strategy, Some("core-guided"));
+        assert_eq!(outcome.diagnostic("strategy"), Some("core-guided"));
+    }
+
+    #[test]
+    fn default_fidelity_route_labels_the_search_that_ran() {
+        let (c, g) = fig3();
+        let noise = arch::NoiseModel::synthetic(&g, 7);
+        let outcome = SatMap::new(SatMapConfig::monolithic()).route_request(
+            &RouteRequest::new(&c, &g).with_objective(circuit::Objective::Fidelity(noise)),
+        );
+        assert!(outcome.solved());
+        assert_eq!(outcome.diagnostic("strategy"), outcome.telemetry().strategy);
+    }
+
+    #[test]
+    fn sliced_default_and_linear_routes_both_verify() {
+        // Slice optima may differ between the two searches (each slice is
+        // pinned to the previous slice's final map), so only verification
+        // is compared, not costs.
+        let g = arch::devices::grid(2, 3);
+        let c = circuit::generators::random_local(6, 12, 3, 0.0, 11);
+        let router = SatMap::new(SatMapConfig::sliced(3));
+        for strategy in [
+            circuit::SearchStrategy::Auto,
+            circuit::SearchStrategy::Linear,
+        ] {
+            let outcome = router.route_request(&RouteRequest::new(&c, &g).with_strategy(strategy));
+            assert!(outcome.telemetry().slices > 1, "{strategy:?}: sliced");
+            let routed = outcome
+                .routed()
+                .unwrap_or_else(|| panic!("{strategy:?}: {:?}", outcome.error()));
+            verify(&c, &g, routed).unwrap_or_else(|e| panic!("{strategy:?}: {e}"));
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`solve`] — the anytime optimization loop,
 //! * [`strategy`] — its two searches: the paper's linear SAT-UNSAT descent
 //!   and a weight-stratified core-guided search. Every call runs exactly
-//!   the one [`SolveOptions::strategy`] names; choosing it per instance is
-//!   the caller's job.
+//!   the one [`SolveOptions::strategy`] names; choosing it is the
+//!   caller's job.
 //!
 //! Each call is sequential: it loads the instance into one backend and
 //! drives it on the calling thread, so the same instance and options do

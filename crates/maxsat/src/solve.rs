@@ -164,6 +164,9 @@ pub struct MaxSatOutcome {
     pub quantum: u64,
     /// Name of the search strategy that produced this outcome.
     pub strategy: &'static str,
+    /// True when the search stopped on its budget rather than on a proof,
+    /// which tells an unfinished quantized search from a completed one.
+    pub budget_exhausted: bool,
     /// Solver effort spent answering this call.
     pub telemetry: SolverTelemetry,
 }

@@ -15,9 +15,14 @@
 //!   bound walks up one output at a time. The first SAT answer *is* the
 //!   optimum. Strong when the optimum is small and cores are local.
 //!
-//! Neither dominates, so every solve call runs exactly one of them,
-//! selected by [`Strategy`] (the routing layers resolve their `Auto`
-//! knob per instance from the soft clauses' weights).
+//! Every solve call runs exactly one of them, selected by [`Strategy`].
+//! The SATMAP routers default to core-guided search on every objective:
+//! on most routing instances it needs far fewer conflicts and SAT calls
+//! than the linear search, which keeps a lead mainly on small circuits
+//! whose optimum it proves in a few calls. Linear search stays the engine's
+//! default and the test oracle, and is the anytime choice: it holds an
+//! incumbent from its first model, while core-guided search on an
+//! unweighted objective has none until it proves the optimum.
 //!
 //! Every bound in both strategies is passed as an **assumption**, never
 //! asserted as a clause, so the clause database stays a conservative
@@ -604,19 +609,28 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
             iterations: self.iterations,
             quantum: self.quantum,
             strategy,
+            budget_exhausted: false,
             telemetry: *t,
         }
     }
 
-    /// [`SearchContext::finish`] for searches that ran out of budget: a
+    /// [`SearchContext::finish`] for searches that stop without a proof: a
     /// recorded model downgrades to `Feasible`, none at all is `Unknown`.
-    pub fn finish_exhausted(&mut self, strategy: &'static str) -> MaxSatOutcome {
+    pub fn finish_unproven(&mut self, strategy: &'static str) -> MaxSatOutcome {
         let status = if self.has_model() {
             MaxSatStatus::Feasible
         } else {
             MaxSatStatus::Unknown
         };
         self.finish(status, strategy)
+    }
+
+    /// [`SearchContext::finish_unproven`] for searches that ran out of
+    /// budget, flagged as such on the outcome.
+    pub fn finish_exhausted(&mut self, strategy: &'static str) -> MaxSatOutcome {
+        let mut outcome = self.finish_unproven(strategy);
+        outcome.budget_exhausted = true;
+        outcome
     }
 }
 
@@ -835,7 +849,7 @@ impl SearchStrategy for CoreGuided {
                         // sound relative to the incumbent, so no Unsat
                         // claim — the incumbent stands as Feasible.
                         if ctx.hardened_count() > 0 {
-                            break ctx.finish_exhausted(self.name());
+                            break ctx.finish_unproven(self.name());
                         }
                         break ctx.finish(MaxSatStatus::Unsat, self.name());
                     }

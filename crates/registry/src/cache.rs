@@ -51,6 +51,7 @@ use std::sync::Mutex;
 use circuit::{RouteOutcome, RouteQuality, RouteRequest};
 use satmap::{RouteSession, SatMap, SatMapConfig};
 
+use crate::supervisor::completed_quantized;
 use crate::{Backend, RouterRegistry, UnknownRouter};
 
 /// Default capacity of the memoized-outcome map. Outcome rows are small
@@ -66,13 +67,15 @@ pub const DEFAULT_SESSION_CAPACITY: usize = 64;
 /// fingerprint.
 type Key = (&'static str, u64);
 
-/// The memoization gate: only *solved* outcomes whose quality is exactly
-/// [`RouteQuality::Optimal`] are cached. `Degraded` results (heuristic
-/// fallbacks, unproven incumbents from cancelled anytime searches) and
-/// warm-retry stamps must never be replayed as the router's real answer —
-/// a retry should get the chance to do better.
+/// The memoization gate: *solved* outcomes whose quality is exactly
+/// [`RouteQuality::Optimal`] are cached, and so are completed searches over
+/// quantized weights ([`completed_quantized`]): a re-solve would repeat the
+/// same search. Other `Degraded` results (heuristic fallbacks, unproven
+/// incumbents from expired anytime searches) and warm-retry stamps must
+/// never be replayed as the router's real answer — a retry should get the
+/// chance to do better.
 fn memoizable(outcome: &RouteOutcome) -> bool {
-    outcome.solved() && outcome.quality() == RouteQuality::Optimal
+    (outcome.solved() && outcome.quality() == RouteQuality::Optimal) || completed_quantized(outcome)
 }
 
 /// One stored value plus its last-use stamp (a monotone logical clock
@@ -292,8 +295,9 @@ impl RouteCache {
     }
 
     /// The store half: memoizes `outcome` for this key when it passes the
-    /// gate (solved and [`RouteQuality::Optimal`] — degraded or failed
-    /// answers are never replayed). Returns whether it was stored.
+    /// gate (solved and [`RouteQuality::Optimal`], or a completed quantized
+    /// search — other degraded or failed answers are never replayed).
+    /// Returns whether it was stored.
     ///
     /// # Errors
     ///
@@ -465,7 +469,7 @@ mod tests {
     }
 
     #[test]
-    fn degraded_outcomes_are_never_memoized() {
+    fn only_proven_or_completed_quantized_outcomes_are_memoized() {
         use circuit::RoutedCircuit;
         use sat::SolverTelemetry;
         let solved = || {
@@ -476,8 +480,16 @@ mod tests {
                 Duration::ZERO,
             )
         };
+        let degraded = |reason: &str| {
+            solved()
+                .with_quality(RouteQuality::Degraded)
+                .with_diagnostic("degraded_reason", reason)
+        };
         assert!(memoizable(&solved()));
+        assert!(memoizable(&degraded("quantized")), "a completed search");
         assert!(!memoizable(&solved().with_quality(RouteQuality::Degraded)));
+        assert!(!memoizable(&degraded("budget-exhausted")));
+        assert!(!memoizable(&degraded("timeout")));
         assert!(!memoizable(
             &solved().with_quality(RouteQuality::WarmRetry(1))
         ));
@@ -486,7 +498,9 @@ mod tests {
             Err(circuit::RouteError::Timeout),
             SolverTelemetry::new(),
             Duration::ZERO,
-        );
+        )
+        .with_quality(RouteQuality::Degraded)
+        .with_diagnostic("degraded_reason", "quantized");
         assert!(!memoizable(&failed));
     }
 

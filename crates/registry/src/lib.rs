@@ -25,7 +25,8 @@
 //! thread. Every SAT-based router honors the request's
 //! [`circuit::SearchStrategy`]: the MaxSAT engine's linear
 //! SAT-UNSAT search, the core-guided lower-bounding search, or `Auto`
-//! (the default), which picks one of the two per solver call.
+//! (the default): core-guided for the SATMAP variants, linear for the
+//! OLSQ baselines.
 //!
 //! Two front ends layer over the registry: [`RouteCache`] (memoization +
 //! warm-start session reuse) and [`RouteSupervisor`] (admission control, a

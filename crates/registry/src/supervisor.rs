@@ -10,7 +10,8 @@
 //!    the fallback heuristic, or answered with a typed
 //!    [`RouteError::Overloaded`] when no fallback is configured.
 //! 2. **Retry with escalation** — retryable failures ([`RouteError::Timeout`],
-//!    [`RouteError::Overloaded`], [`RouteError::Internal`]) are re-attempted
+//!    [`RouteError::Overloaded`], [`RouteError::Internal`]) and unproven
+//!    incumbents of an expired budget are re-attempted
 //!    up to [`RoutePolicy::max_attempts`] times, each retry after a
 //!    deterministic jittered backoff ([`ResourceBudget::backoff_for`]) and
 //!    under a budget scaled by [`RoutePolicy::escalation`]. SATMAP retries
@@ -29,7 +30,9 @@
 //!
 //! Non-retryable failures ([`RouteError::InvalidRequest`],
 //! [`RouteError::Unsatisfiable`]) return immediately — retrying cannot
-//! change them. So does a fired abort handle: when the cancel token on the
+//! change them. So does a completed search over quantized fidelity
+//! weights: it is `Degraded` only because quantization caps its claim.
+//! So does a fired abort handle: when the cancel token on the
 //! request's budget is cancelled, the ladder stops (no retry, no fallback)
 //! and answers [`RouteError::Cancelled`], keeping whatever telemetry the
 //! interrupted attempt accumulated. Every attempt runs behind a panic
@@ -294,6 +297,11 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
                         };
                         return outcome.with_quality(quality).with_attempts(attempt);
                     }
+                    if completed_quantized(&outcome) {
+                        // A completed quantized search: more budget would
+                        // rerun the same search to the same answer.
+                        return outcome.with_attempts(attempt);
+                    }
                     // Unproven incumbent (already stamped Degraded by the
                     // router): keep the best and escalate for a proof.
                     best_unproven = Some(better_incumbent(request, best_unproven.take(), outcome));
@@ -454,6 +462,16 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
         )
         .with_attempts(attempts)
     }
+}
+
+/// True for an unproven answer that more budget cannot improve: a search
+/// over quantized weights (the fidelity objective) that ran to completion,
+/// stamped `Degraded` with `degraded_reason` `quantized`. The ladder
+/// returns it after one attempt and the cache memoizes it.
+pub(crate) fn completed_quantized(outcome: &RouteOutcome) -> bool {
+    outcome.solved()
+        && outcome.quality() == RouteQuality::Degraded
+        && outcome.diagnostic("degraded_reason") == Some("quantized")
 }
 
 /// Poison-tolerant lock: a panic while holding the sessions map cannot
@@ -655,6 +673,32 @@ mod tests {
                 &RouteRequest::new(&c, &g).with_budget(Duration::from_secs(1)),
             )
             .is_ok());
+    }
+
+    #[test]
+    fn completed_quantized_fidelity_route_is_answered_once_and_memoized() {
+        // The `q6_noise` fidelity request: its weights quantize, so the
+        // search runs to completion yet can only claim `Degraded`.
+        let g = arch::devices::tokyo();
+        let c = circuit::generators::random_local(4, 6, 3, 0.0, 5);
+        let request = RouteRequest::new(&c, &g)
+            .with_objective(Objective::Fidelity(arch::NoiseModel::synthetic(&g, 2022)));
+        let out = RouteSupervisor::new()
+            .route("nl-satmap", &request)
+            .expect("known");
+        assert_eq!(out.quality(), RouteQuality::Degraded);
+        assert_eq!(out.diagnostic("degraded_reason"), Some("quantized"));
+        assert_eq!(out.attempts(), 1, "a completed search is not rerun");
+        verify(&c, &g, out.routed().expect("solved")).expect("verifies");
+
+        let cache = crate::RouteCache::default();
+        assert!(cache.admit("nl-satmap", &request, &out).expect("known"));
+        let hit = cache
+            .lookup("nl-satmap", &request)
+            .expect("known")
+            .expect("the repeat is a cache hit");
+        assert!(hit.telemetry().cache_hit);
+        assert_eq!(hit.routed(), out.routed());
     }
 
     #[test]

@@ -2,9 +2,11 @@
 # Work-count gate: runs one traced perfbench pass of every workload listed
 # in scripts/work_counts.txt and fails when any metric whose unit is
 # `count` (encoding size, slices, SAT calls, conflicts, decisions,
-# propagations, cache traffic) differs from the file. Timings are not
-# compared. A change that is meant to leave search alone must pass this
-# unchanged.
+# propagations, cache traffic) differs from the file. A workload whose
+# lines include `routed_2q_gates` (the solver workloads) also gets one
+# untraced pass, and the routing quality it reports must match too.
+# Timings are not compared. A change that is meant to leave search alone
+# must pass this unchanged.
 #
 #   bash scripts/check_work_counts.sh            # seed 3
 #   SEED=7 bash scripts/check_work_counts.sh     # the counts are seed-free
@@ -29,6 +31,17 @@ for workload in $(awk '!/^#/ && NF { print $1 }' "$expected" | uniq); do
     actual=$(printf '%s\n' "$out" |
         awk -v w="$workload" '$1 == "#" && NF == 4 && $4 == "count" { printf "%s %s %d\n", w, $2, $3 }')
     want=$(awk -v w="$workload" '$1 == w' "$expected")
+    if printf '%s\n' "$want" | grep -q ' routed_2q_gates '; then
+        if ! out=$("$bench" --workload "$workload" --seed "$seed" --seconds 1 --trace 0); then
+            echo "check_work_counts: untraced perfbench failed on $workload" >&2
+            status=1
+            continue
+        fi
+        # The last line is the run's JSON summary.
+        gates=$(printf '%s\n' "$out" | tail -n 1 |
+            sed -n 's/.*"routed_2q_gates": {"value": \([0-9]*\),.*/\1/p')
+        actual=$(printf '%s\n%s routed_2q_gates %s' "$actual" "$workload" "$gates")
+    fi
     if [ "$actual" = "$want" ]; then
         echo "check_work_counts: $workload ok ($(printf '%s\n' "$want" | wc -l) counts)"
     else

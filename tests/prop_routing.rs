@@ -111,8 +111,8 @@ proptest! {
         c in circuit_strategy(4, 6),
         weighted in prop::bool::ANY,
     ) {
-        // The `Auto` strategy rule may pick either search, but both
-        // requests prove optimality under an unlimited budget, so the
+        // The default (`Auto`) request runs core-guided search; both
+        // requests prove optimality under an unlimited budget, so its
         // objective value must match a forced linear solve exactly —
         // weighted and unweighted alike.
         let graph = arch::devices::ring(4);
@@ -132,7 +132,7 @@ proptest! {
                 .with_objective(objective.clone())
                 .with_strategy(SearchStrategy::Linear),
         );
-        let d = dispatched.routed().expect("dispatched request solves");
+        let d = dispatched.routed().expect("default request solves");
         let f = forced.routed().expect("forced request solves");
         prop_assert!(verify(&c, &graph, d).is_ok());
         prop_assert!(verify(&c, &graph, f).is_ok());
@@ -140,12 +140,12 @@ proptest! {
             Objective::Fidelity(noise) => prop_assert_eq!(
                 quantized_infidelity(d, &c, noise),
                 quantized_infidelity(f, &c, noise),
-                "dispatch changed the weighted optimum"
+                "the default search changed the weighted optimum"
             ),
             Objective::SwapCount => prop_assert_eq!(
                 d.added_gates(),
                 f.added_gates(),
-                "dispatch changed the swap optimum"
+                "the default search changed the swap optimum"
             ),
         }
     }
