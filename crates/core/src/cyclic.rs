@@ -26,7 +26,7 @@ use sat::{DefaultBackend, ResourceBudget, SatBackend, SolverTelemetry};
 
 use crate::config::{Resolved, SatMapConfig};
 use crate::encode::{routed_from_solution, EncodeShape, QmrEncoding};
-use crate::solver::{Proof, SatMap};
+use crate::solver::{stamp_diagnostics, stamp_quality, Proof, SatMap};
 
 /// CYC-SATMAP: the cyclic relaxation router for repeated circuits.
 ///
@@ -336,7 +336,7 @@ impl<B: SatBackend + Default + Send> Router for CyclicSatMap<B> {
         let mut proof = Proof::new();
         let outcome =
             RouteOutcome::capture(self.name(), || self.route_impl(request, &p, &mut proof));
-        crate::solver::stamp_quality(outcome, &proof)
+        stamp_diagnostics(stamp_quality(outcome, &proof), &p)
             .with_diagnostic("cycles", request.repetition().map_or(1, |r| r.cycles))
     }
 }
@@ -386,6 +386,18 @@ mod tests {
         verify(&full, &g, routed).expect("verifies");
         assert_eq!(routed.final_map(), routed.initial_map());
         assert!(outcome.telemetry().sat_calls > 0);
+    }
+
+    #[test]
+    fn outcomes_carry_the_satmap_diagnostics() {
+        let (c, g) = fig3();
+        let outcome =
+            CyclicSatMap::new(SatMapConfig::default()).route_request(&RouteRequest::new(&c, &g));
+        assert!(outcome.solved());
+        assert_eq!(outcome.diagnostic("strategy"), Some("core-guided"));
+        assert_eq!(outcome.diagnostic("slice_size"), Some("25"));
+        assert_eq!(outcome.diagnostic("swaps_per_gap"), Some("1"));
+        assert_eq!(outcome.diagnostic("cycles"), Some("1"));
     }
 
     #[test]

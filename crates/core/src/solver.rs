@@ -188,6 +188,19 @@ impl Proof {
     }
 }
 
+/// The diagnostics every SATMAP-family outcome carries (`satmap`,
+/// `nl-satmap`, `cyc-satmap`), regardless of which entry point produced
+/// it.
+pub(crate) fn stamp_diagnostics(outcome: RouteOutcome, p: &Resolved) -> RouteOutcome {
+    outcome
+        .with_diagnostic(
+            "slice_size",
+            p.slice_size.map_or("none".into(), |s| s.to_string()),
+        )
+        .with_diagnostic("swaps_per_gap", p.swaps_per_gap)
+        .with_diagnostic("strategy", p.options.strategy.name())
+}
+
 /// Stamps the outcome's quality from the proof status of its accepted
 /// model: a solved result whose optimality was *not* certified (the
 /// anytime search returned an incumbent, not a proof) is `Degraded` and
@@ -408,7 +421,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
                 telemetry,
             )
         });
-        self.stamp_diagnostics(stamp_quality(outcome, &proof), &p)
+        stamp_diagnostics(stamp_quality(outcome, &proof), &p)
     }
 
     /// Routes with warm-start session reuse. A `None` slot (or one left by
@@ -429,7 +442,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
         if let Err(e) = request.validate() {
             let outcome =
                 RouteOutcome::new(self.name(), Err(e), SolverTelemetry::new(), Duration::ZERO);
-            return self.stamp_diagnostics(outcome, &p);
+            return stamp_diagnostics(outcome, &p);
         }
         if !Self::is_monolithic(request.circuit(), &p) {
             return self.route_request(request);
@@ -448,7 +461,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
                 Err(e) => {
                     let outcome =
                         RouteOutcome::new(self.name(), Err(e), telemetry, started.elapsed());
-                    return self.stamp_diagnostics(outcome, &p);
+                    return stamp_diagnostics(outcome, &p);
                 }
             },
         };
@@ -462,19 +475,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
             decode_monolithic(request.circuit(), artifact.encoding(), out, p.swaps_per_gap);
         *slot = Some(RouteSession { artifact, session });
         let outcome = RouteOutcome::new(self.name(), result, telemetry, started.elapsed());
-        self.stamp_diagnostics(stamp_quality(outcome, &proof), &p)
-    }
-
-    /// The diagnostics every SATMAP outcome carries, regardless of which
-    /// entry point produced it.
-    fn stamp_diagnostics(&self, outcome: RouteOutcome, p: &Resolved) -> RouteOutcome {
-        outcome
-            .with_diagnostic(
-                "slice_size",
-                p.slice_size.map_or("none".into(), |s| s.to_string()),
-            )
-            .with_diagnostic("swaps_per_gap", p.swaps_per_gap)
-            .with_diagnostic("strategy", p.options.strategy.name())
+        stamp_diagnostics(stamp_quality(outcome, &proof), &p)
     }
 
     /// Section V: slice, solve each slice pinned to the previous final map,
@@ -730,7 +731,7 @@ impl<B: SatBackend + Default + Send> Router for SatMap<B> {
         let mut proof = Proof::new();
         let outcome =
             RouteOutcome::capture(self.name(), || self.route_impl(request, &p, &mut proof));
-        self.stamp_diagnostics(stamp_quality(outcome, &proof), &p)
+        stamp_diagnostics(stamp_quality(outcome, &proof), &p)
     }
 }
 

@@ -4,6 +4,7 @@
 //! total. The paper reports a mean 5.19× cost ratio against this baseline.
 
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use arch::ConnectivityGraph;
 use circuit::{
@@ -55,12 +56,23 @@ impl AStar {
     }
 }
 
-#[derive(PartialEq)]
+/// A physical qubit in a search state. Every device whose all-pairs
+/// distance table fits in memory has at most 2^16 qubits.
+type Phys = u16;
+
+/// An open-list entry: a search state and its costs. Only `f` and `g`
+/// take part in the ordering, so equal-cost entries leave the heap in an
+/// order fixed by the sequence of pushes and pops alone.
 struct Node {
     f: usize,
     g: usize,
-    pos: Vec<usize>,
-    swaps: Vec<(usize, usize)>,
+    state: usize,
+}
+
+impl PartialEq for Node {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
 }
 
 impl Eq for Node {}
@@ -78,13 +90,49 @@ impl PartialOrd for Node {
     }
 }
 
+/// FxHash (the rustc hasher): one rotate, xor and multiply per word. Its
+/// keys are search states the A* search derives by swaps, not values a
+/// request spells out, and the map's iteration order is never read.
+#[derive(Default)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
 impl AStar {
     /// Admissible heuristic: each swap can reduce the distance of at most
     /// two blocked pairs by one each.
-    fn heuristic(graph: &ConnectivityGraph, pos: &[usize], pairs: &[(usize, usize)]) -> usize {
+    fn heuristic(graph: &ConnectivityGraph, pos: &[Phys], pairs: &[(usize, usize)]) -> usize {
         let total: usize = pairs
             .iter()
-            .map(|&(a, b)| graph.distance(pos[a], pos[b]).saturating_sub(1))
+            .map(|&(a, b)| {
+                graph
+                    .distance(pos[a].into(), pos[b].into())
+                    .saturating_sub(1)
+            })
             .sum();
         total.div_ceil(2)
     }
@@ -105,64 +153,92 @@ impl AStar {
         {
             return Some(Vec::new());
         }
+        assert!(
+            graph.num_qubits() <= usize::from(Phys::MAX) + 1,
+            "A* search states hold at most 2^16 physical qubits"
+        );
+        let n = pos.len();
+        // Every state ever pushed, stored flat: state `s` places logical
+        // qubit `q` on `states[s * n + q]`, and `trail[s]` names the state
+        // it was expanded from and the swap that led from there to it.
+        let mut states: Vec<Phys> = pos.iter().map(|&p| p as Phys).collect();
+        let mut trail: Vec<(usize, (Phys, Phys))> = vec![(usize::MAX, (0, 0))];
+        let mut best_g: HashMap<Box<[Phys]>, usize, BuildHasherDefault<FxHasher>> =
+            HashMap::default();
         let mut open = BinaryHeap::new();
-        let mut best_g: HashMap<Vec<usize>, usize> = HashMap::new();
         open.push(Node {
-            f: Self::heuristic(graph, pos, pairs),
+            f: Self::heuristic(graph, &states, pairs),
             g: 0,
-            pos: pos.to_vec(),
-            swaps: Vec::new(),
+            state: 0,
         });
-        best_g.insert(pos.to_vec(), 0);
+        best_g.insert(states.as_slice().into(), 0);
         let mut expansions = 0usize;
+        let mut current: Vec<Phys> = Vec::with_capacity(n);
+        let mut child: Vec<Phys> = Vec::with_capacity(n);
+        let mut relevant: Vec<Phys> = Vec::new();
 
         while let Some(node) = open.pop() {
+            current.clear();
+            current.extend_from_slice(&states[node.state * n..(node.state + 1) * n]);
             if pairs
                 .iter()
-                .all(|&(a, b)| graph.are_adjacent(node.pos[a], node.pos[b]))
+                .all(|&(a, b)| graph.are_adjacent(current[a].into(), current[b].into()))
             {
-                return Some(node.swaps);
+                let mut swaps = Vec::with_capacity(node.g);
+                let mut s = node.state;
+                while s != 0 {
+                    let (parent, (x, y)) = trail[s];
+                    swaps.push((usize::from(x), usize::from(y)));
+                    s = parent;
+                }
+                swaps.reverse();
+                return Some(swaps);
             }
             expansions += 1;
             if expansions > self.config.max_expansions {
                 break;
             }
-            if best_g.get(&node.pos).is_some_and(|&g| g < node.g) {
+            if best_g.get(current.as_slice()).is_some_and(|&g| g < node.g) {
                 continue; // stale entry
             }
             // Expand: swaps on edges touching a qubit of a blocked pair.
-            let mut relevant: Vec<usize> = Vec::new();
+            relevant.clear();
             for &(a, b) in pairs {
-                if !graph.are_adjacent(node.pos[a], node.pos[b]) {
-                    relevant.push(node.pos[a]);
-                    relevant.push(node.pos[b]);
+                if !graph.are_adjacent(current[a].into(), current[b].into()) {
+                    relevant.push(current[a]);
+                    relevant.push(current[b]);
                 }
             }
             relevant.sort_unstable();
             relevant.dedup();
             for &p in &relevant {
-                for &p2 in graph.neighbors(p) {
-                    let mut pos2 = node.pos.clone();
-                    for m in pos2.iter_mut() {
-                        if *m == p {
-                            *m = p2;
-                        } else if *m == p2 {
-                            *m = p;
+                for &p2 in graph.neighbors(p.into()) {
+                    let p2 = p2 as Phys;
+                    child.clear();
+                    child.extend(current.iter().map(|&m| {
+                        if m == p {
+                            p2
+                        } else if m == p2 {
+                            p
+                        } else {
+                            m
+                        }
+                    }));
+                    let g2 = node.g + 1;
+                    match best_g.get_mut(child.as_slice()) {
+                        Some(g) if *g <= g2 => continue,
+                        Some(g) => *g = g2,
+                        None => {
+                            best_g.insert(child.as_slice().into(), g2);
                         }
                     }
-                    let g2 = node.g + 1;
-                    if best_g.get(&pos2).is_some_and(|&g| g <= g2) {
-                        continue;
-                    }
-                    best_g.insert(pos2.clone(), g2);
-                    let mut swaps2 = node.swaps.clone();
-                    swaps2.push((p.min(p2), p.max(p2)));
                     open.push(Node {
-                        f: g2 + Self::heuristic(graph, &pos2, pairs),
+                        f: g2 + Self::heuristic(graph, &child, pairs),
                         g: g2,
-                        pos: pos2,
-                        swaps: swaps2,
+                        state: trail.len(),
                     });
+                    states.extend_from_slice(&child);
+                    trail.push((node.state, (p.min(p2), p.max(p2))));
                 }
             }
         }
@@ -271,6 +347,36 @@ mod tests {
         let astar = AStar::default();
         let swaps = astar.solve_layer(&g, &[0, 2], &[(0, 1)]).expect("found");
         assert_eq!(swaps.len(), 1);
+    }
+
+    #[test]
+    fn search_states_hold_qubits_beyond_255() {
+        let g = arch::devices::linear(300);
+        let pos = [250, 262, 299];
+        let swaps = AStar::default()
+            .solve_layer(&g, &pos, &[(0, 1)])
+            .expect("found");
+        assert_eq!(swaps.len(), 11);
+        let mut pos = pos.to_vec();
+        for (x, y) in swaps {
+            assert!(g.are_adjacent(x, y) && x >= 250);
+            for m in pos.iter_mut() {
+                if *m == x {
+                    *m = y;
+                } else if *m == y {
+                    *m = x;
+                }
+            }
+        }
+        assert!(g.are_adjacent(pos[0], pos[1]));
+        assert_eq!(pos[2], 299);
+
+        let mut c = Circuit::new(300);
+        c.cx(0, 299);
+        c.cx(10, 280);
+        c.cx(299, 150);
+        let routed = AStar::default().route(&c, &g).expect("routes");
+        verify(&c, &g, &routed).expect("verifies");
     }
 
     #[test]

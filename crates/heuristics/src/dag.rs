@@ -1,6 +1,9 @@
 //! A dependency view of a circuit used by the routing heuristics: gates
 //! become executable once every earlier gate sharing a qubit has executed.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use circuit::{Circuit, Gate, Qubit};
 
 /// Tracks which gates are ready ("front layer") as execution progresses.
@@ -78,16 +81,67 @@ impl DagFrontier {
 
     /// The next up-to-`limit` *two-qubit* gates beyond the front (SABRE's
     /// "extended set"), as `(a, b)` logical pairs.
+    ///
+    /// These are the first `limit` two-qubit gates, in index order, among
+    /// the pending gates that are not ready. Each qubit's queue is already
+    /// in index order, so a k-way merge over the queues yields them
+    /// without looking at the rest of the circuit.
     pub fn extended_set(&self, circuit: &Circuit, limit: usize) -> Vec<(Qubit, Qubit)> {
-        // Walk each qubit's pending queue past the head, collecting 2q
-        // gates in index order.
+        let mut out = Vec::new();
+        if limit == 0 {
+            return out;
+        }
+        // Min-heap of (next gate index, qubit, position in its queue). A
+        // ready gate heads every queue it sits in, so skipping ready heads
+        // drops it entirely.
+        let mut heap = BinaryHeap::with_capacity(self.pending.len());
+        for (q, queue) in self.pending.iter().enumerate() {
+            let skip = usize::from(queue.front().is_some_and(|&k| self.is_ready(circuit, k)));
+            if let Some(&k) = queue.get(skip) {
+                heap.push(Reverse((k, q, skip)));
+            }
+        }
+        let mut last = None;
+        while let Some(Reverse((k, q, i))) = heap.pop() {
+            if let Some(&next) = self.pending[q].get(i + 1) {
+                heap.push(Reverse((next, q, i + 1)));
+            }
+            // A two-qubit gate comes out of both of its queues in a row.
+            if last == Some(k) {
+                continue;
+            }
+            last = Some(k);
+            if let Gate::Two { a, b, .. } = &circuit.gates()[k] {
+                out.push((*a, *b));
+                if out.len() == limit {
+                    break;
+                }
+            }
+        }
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The extended set as first written: every pending gate that is not
+    /// ready, collected into a `BTreeSet`, then the first `limit`
+    /// two-qubit gates. The reference the k-way merge must reproduce.
+    fn extended_set_reference(
+        f: &DagFrontier,
+        circuit: &Circuit,
+        limit: usize,
+    ) -> Vec<(Qubit, Qubit)> {
         let mut seen = std::collections::BTreeSet::new();
         for q in 0..circuit.num_qubits() {
-            for &k in self.pending[q].iter().skip(1) {
+            for &k in f.pending[q].iter().skip(1) {
                 seen.insert(k);
             }
-            if let Some(&k) = self.pending[q].front() {
-                if !self.is_ready(circuit, k) {
+            if let Some(&k) = f.pending[q].front() {
+                if !f.is_ready(circuit, k) {
                     seen.insert(k);
                 }
             }
@@ -100,11 +154,44 @@ impl DagFrontier {
             .take(limit)
             .collect()
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Random circuits with one-qubit gates, checked after every step
+        /// of a random execution order.
+        #[test]
+        fn extended_set_matches_btreeset_walk(
+            n in 2usize..9,
+            gates in prop::collection::vec((0usize..9, 0usize..9, prop::bool::ANY), 0..80),
+            picks in prop::collection::vec(0usize..16, 0..80),
+        ) {
+            let mut c = Circuit::new(n);
+            for &(a, b, two) in &gates {
+                let (a, b) = (a % n, b % n);
+                if two && a != b {
+                    c.cx(a, b);
+                } else {
+                    c.h(a);
+                }
+            }
+            let mut f = DagFrontier::new(&c);
+            for &pick in picks.iter().chain([&0]) {
+                prop_assert!(f.extended_set(&c, 0).is_empty());
+                for limit in [1, 20] {
+                    prop_assert_eq!(
+                        f.extended_set(&c, limit),
+                        extended_set_reference(&f, &c, limit)
+                    );
+                }
+                let front = f.front(&c);
+                if front.is_empty() {
+                    break;
+                }
+                f.execute(&c, front[pick % front.len()]);
+            }
+        }
+    }
 
     #[test]
     fn front_and_execution_order() {

@@ -189,6 +189,7 @@ impl JsonValue {
 /// ```
 pub fn parse_json(input: &str) -> Result<JsonValue, WireError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -202,6 +203,7 @@ pub fn parse_json(input: &str) -> Result<JsonValue, WireError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -327,13 +329,14 @@ impl Parser<'_> {
                     return Err(self.fail("raw control character in string"));
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar (the input is &str, so
-                    // boundaries are guaranteed valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.fail("invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of plain bytes at once. It ends
+                    // at an ASCII byte or the end of input, so both ends
+                    // are char boundaries of the `&str` input.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -894,6 +897,61 @@ mod tests {
         // Nesting bomb.
         let deep = "[".repeat(40) + &"]".repeat(40);
         assert!(parse_json(&deep).is_err());
+    }
+
+    #[test]
+    fn strings_mix_plain_runs_multibyte_text_and_escapes() {
+        let input = "\"plain é漢😀 \\u00e9\\u6f22 mid \\ud83d\\ude00\\n\\\"q\\\"\\\\ tail ascii\"";
+        assert_eq!(
+            parse_json(input).unwrap(),
+            JsonValue::String("plain é漢😀 é漢 mid 😀\n\"q\"\\ tail ascii".into())
+        );
+        // Runs ending at the closing quote, at an escape, and empty runs.
+        assert_eq!(
+            parse_json(r#"["", "x", "\\", "é\t", "Ab"]"#).unwrap(),
+            JsonValue::Array(
+                ["", "x", "\\", "é\t", "Ab"]
+                    .iter()
+                    .map(|s| JsonValue::String((*s).into()))
+                    .collect()
+            )
+        );
+    }
+
+    #[test]
+    fn string_errors_keep_their_byte_offsets() {
+        let err = |input: &str| parse_json(input).unwrap_err().why().to_string();
+        assert_eq!(
+            err("\"ab\u{1}c\""),
+            "raw control character in string at byte 3"
+        );
+        // 'é' and '漢' take 2 and 3 bytes before the control byte.
+        assert_eq!(
+            err("{\"k\":\"é漢\n\"}"),
+            "raw control character in string at byte 11"
+        );
+        assert_eq!(err("\"abc é"), "unterminated string at byte 7");
+        assert_eq!(err("\"é\\q\""), "unknown escape at byte 5");
+    }
+
+    #[test]
+    fn route_lines_over_a_megabyte_round_trip() {
+        let mut c = Circuit::new(16);
+        for k in 0..70_000 {
+            let (a, b) = (k % 16, (k * 7 + 3) % 16);
+            match k % 3 {
+                0 => c.h(a),
+                1 if a != b => c.cx(a, b),
+                _ => c.rzz(a, (a + 1) % 16, k as f64 / 7.0),
+            }
+        }
+        let line = route_line("sabre", "tokyo", &c, &[]);
+        assert!(line.len() > 1 << 20, "line is {} bytes", line.len());
+        let cmd = match parse_request(&line).unwrap() {
+            Request::Route(cmd) => cmd,
+            other => panic!("expected route, got {other:?}"),
+        };
+        assert_eq!(cmd.circuit, c);
     }
 
     #[test]
