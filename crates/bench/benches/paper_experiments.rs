@@ -276,11 +276,10 @@ fn maxsat_strategies(c: &mut Criterion) {
 /// (stratification + core trimming + exhaustion + hardening, the
 /// engine's default core-guided configuration), by the plain OLL loop
 /// those refinements extend, and by the linear SAT-UNSAT descent. The
-/// weighted softs here are many but carry few distinct weights, so the
-/// diversity cap folds them into one stratum and the stratified search
-/// descends from that stratum's incumbent instead of paying hundreds of
-/// unit cores — the gap this group records is the source of the
-/// `q6_noise/fidelity` speedup.
+/// encoding already charges every gate its cheapest edge as a constant,
+/// so the core-guided searches only pay for placements above that floor
+/// and for swaps; the weighted softs carry few distinct weights, so the
+/// diversity cap folds them into one stratum.
 fn weighted_core(c: &mut Criterion) {
     let mut group = c.benchmark_group("weighted_core");
     group.sample_size(10);

@@ -809,6 +809,25 @@ mod tests {
     }
 
     #[test]
+    fn fidelity_route_on_its_floor_is_proven_optimal() {
+        // Every gate runs best on the cheapest edge, with no swap: the
+        // optimum is exactly the per-gate floors the encoding emits as
+        // constants, so the quantized search proves it.
+        let g = arch::devices::tokyo();
+        let mut c = Circuit::new(2);
+        for _ in 0..4 {
+            c.cx(0, 1);
+        }
+        let noise = arch::NoiseModel::synthetic(&g, 7);
+        let outcome = SatMap::new(SatMapConfig::default()).route_request(
+            &RouteRequest::new(&c, &g).with_objective(circuit::Objective::Fidelity(noise)),
+        );
+        assert_eq!(outcome.quality(), RouteQuality::Optimal);
+        assert_eq!(outcome.diagnostic("degraded_reason"), None);
+        assert_eq!(outcome.routed().expect("solves").swap_count(), 0);
+    }
+
+    #[test]
     fn sliced_default_and_linear_routes_both_verify() {
         // Slice optima may differ between the two searches (each slice is
         // pinned to the previous slice's final map), so only verification

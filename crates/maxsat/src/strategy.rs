@@ -573,9 +573,11 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
 
     /// The status a completed (exhausted) search may claim: exact-weight
     /// searches prove optimality, quantized ones only feasibility up to
-    /// the quantization error.
+    /// the quantization error. An incumbent that falsifies nothing but the
+    /// empty softs sits on the floor no model can beat, so it is optimal
+    /// whatever the quantum.
     pub fn proved_status(&self) -> MaxSatStatus {
-        if self.quantum == 1 {
+        if self.quantum == 1 || (self.has_model() && self.best_cost == self.constant_cost) {
             MaxSatStatus::Optimal
         } else {
             MaxSatStatus::Feasible
@@ -667,12 +669,7 @@ impl SearchStrategy for LinearSatUnsat {
         // learned clauses make the closing UNSAT proof cheap. Incumbents
         // already sitting on a proved floor finish without solving at all.
         if ctx.has_model() {
-            if ctx.best_cost() == ctx.constant_cost() {
-                let outcome = ctx.finish(MaxSatStatus::Optimal, self.name());
-                ctx.stash_totalizer(totalizer);
-                return outcome;
-            }
-            if ctx.best_q_cost() == 0 {
+            if ctx.best_cost() == ctx.constant_cost() || ctx.best_q_cost() == 0 {
                 let status = ctx.proved_status();
                 let outcome = ctx.finish(status, self.name());
                 ctx.stash_totalizer(totalizer);
@@ -698,12 +695,10 @@ impl SearchStrategy for LinearSatUnsat {
             match ctx.solve(&assumptions) {
                 SolveResult::Sat => {
                     let (_cost, q_cost) = ctx.observe_model();
-                    if ctx.best_cost() == ctx.constant_cost() {
-                        // Can't do better than falsifying only empty softs.
-                        break ctx.finish(MaxSatStatus::Optimal, self.name());
-                    }
-                    if q_cost == 0 {
-                        // Quantized optimum reached; cannot strengthen.
+                    if ctx.best_cost() == ctx.constant_cost() || q_cost == 0 {
+                        // Nothing but empty softs falsified (the floor no
+                        // model can beat), or the quantized optimum: the
+                        // bound cannot be strengthened.
                         let status = ctx.proved_status();
                         break ctx.finish(status, self.name());
                     }
@@ -1019,6 +1014,31 @@ mod tests {
         let out = search_with(&CoreGuided, &inst);
         assert_eq!(out.status, MaxSatStatus::Optimal);
         assert_eq!(out.cost, Some(3), "violate the weight-3 soft, keep b");
+    }
+
+    #[test]
+    fn both_strategies_claim_the_floor_under_a_coarse_quantum() {
+        // The optimum falsifies only the empty soft, so it is proven
+        // whatever the quantum (here 8: one unit for all the weight).
+        let mut inst = WcnfInstance::new();
+        let a = inst.new_var().positive();
+        let b = inst.new_var().positive();
+        inst.add_soft(7, []);
+        inst.add_soft(5, [!a]);
+        inst.add_soft(3, [!b]);
+        for strategy in [Strategy::LinearSatUnsat, Strategy::CoreGuided] {
+            let options = SolveOptions::default()
+                .with_totalizer_units(1)
+                .with_strategy(strategy);
+            let out = crate::solve_with_options::<DefaultBackend>(
+                &inst,
+                &ResourceBudget::unlimited(),
+                &options,
+            );
+            assert_eq!(out.quantum, 8);
+            assert_eq!(out.status, MaxSatStatus::Optimal, "{strategy:?}");
+            assert_eq!(out.cost, Some(7), "{strategy:?}");
+        }
     }
 
     #[test]
