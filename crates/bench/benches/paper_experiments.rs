@@ -8,11 +8,11 @@
 //! and driven by a `RouteRequest` carrying the per-call budget — no
 //! concrete router type appears in this harness.
 
-use bench::{bench_budget, fig3, fig3_mutants, placement_wcnf, planted_cnf, small_workloads};
+use bench::{bench_budget, fig3, fig3_mutants, small_workloads};
 use circuit::{Objective, RepeatedStructure, RouteRequest, Router, Slicing};
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use routers::{BoxedRouter, RouterRegistry};
-use sat::{Lit, ResourceBudget, Solver};
+use sat::{ResourceBudget, Solver};
 
 fn create(name: &str) -> BoxedRouter {
     RouterRegistry::standard()
@@ -202,74 +202,6 @@ fn ablation_swaps_per_gap(c: &mut Criterion) {
     group.finish();
 }
 
-/// Arena clone vs re-emission: materializing three copies of a loaded
-/// 1600-clause solver. `clone` is the flat-arena `memcpy` path a
-/// warm-start snapshot uses; `reemit` rebuilds each copy by replaying
-/// every clause through `add_clause` (the pre-arena behaviour, paying
-/// simplification and watch setup per clause per copy).
-fn arena_clone_vs_reemit(c: &mut Criterion) {
-    let mut group = c.benchmark_group("arena");
-    let cnf = planted_cnf(400, 1600, 5);
-    let mut template = Solver::new();
-    template.reserve_vars(400);
-    for clause in &cnf {
-        template.add_clause(clause.iter().map(|&d| Lit::from_dimacs(d)));
-    }
-    group.bench_function("clone", |b| {
-        b.iter(|| {
-            let peers: Vec<Solver> = (0..3).map(|_| template.clone()).collect();
-            assert_eq!(peers.len(), 3);
-            peers
-        })
-    });
-    group.bench_function("reemit", |b| {
-        b.iter(|| {
-            let peers: Vec<Solver> = (0..3)
-                .map(|_| {
-                    let mut s = Solver::new();
-                    s.reserve_vars(400);
-                    for clause in &cnf {
-                        s.add_clause(clause.iter().map(|&d| Lit::from_dimacs(d)));
-                    }
-                    s
-                })
-                .collect();
-            assert_eq!(peers.len(), 3);
-            peers
-        })
-    });
-    group.finish();
-}
-
-/// MaxSAT search strategies on the weighted placement family: the linear
-/// SAT-UNSAT descent and the core-guided lower-bounding search. Both
-/// prove the same optimum; the group records how their routes to the
-/// proof compare.
-fn maxsat_strategies(c: &mut Criterion) {
-    let mut group = c.benchmark_group("maxsat_strategies");
-    group.sample_size(10);
-    let inst = placement_wcnf(7, 4);
-    for (label, strategy) in [
-        ("linear", maxsat::Strategy::LinearSatUnsat),
-        ("core-guided", maxsat::Strategy::CoreGuided),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let options = maxsat::SolveOptions::default().with_strategy(strategy);
-                let out = maxsat::solve_with_options::<Solver>(
-                    &inst,
-                    &ResourceBudget::unlimited(),
-                    &options,
-                );
-                assert_eq!(out.status, maxsat::MaxSatStatus::Optimal);
-                assert_eq!(out.cost, Some(3), "7 pigeons, 4 holes");
-                out
-            })
-        });
-    }
-    group.finish();
-}
-
 /// The weight-stratified core-guided search on the fidelity objective:
 /// the exact WCNF behind the `q6_noise/fidelity` headline row (tokyo +
 /// synthetic noise, first slice), solved by the full refinement stack
@@ -391,8 +323,6 @@ criterion_group!(
     q5_scaling,
     q6_noise,
     ablation_swaps_per_gap,
-    arena_clone_vs_reemit,
-    maxsat_strategies,
     weighted_core,
     warmstart
 );

@@ -50,68 +50,6 @@ pub fn fig3() -> Circuit {
     c
 }
 
-/// A random 3-CNF with a planted mostly-positive model, as DIMACS-style
-/// literals (`±(var+1)`), deterministic in `seed`.
-///
-/// Every clause is satisfied by the planted assignment `x_i = (i % 7 !=
-/// 0)`, so the formula is guaranteed satisfiable. The `arena` bench group
-/// loads it as its clone-vs-reemit template.
-pub fn planted_cnf(num_vars: usize, num_clauses: usize, seed: u64) -> Vec<Vec<i64>> {
-    let planted = |v: usize| !v.is_multiple_of(7);
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut clauses = Vec::with_capacity(num_clauses);
-    while clauses.len() < num_clauses {
-        let mut clause = Vec::with_capacity(3);
-        for _ in 0..3 {
-            let v = (next() % num_vars as u64) as usize;
-            let positive = next() % 2 == 0;
-            clause.push(if positive {
-                (v + 1) as i64
-            } else {
-                -((v + 1) as i64)
-            });
-        }
-        // Keep only clauses the planted model satisfies.
-        let satisfied = clause
-            .iter()
-            .any(|&l| (l > 0) == planted(l.unsigned_abs() as usize - 1));
-        if satisfied {
-            clauses.push(clause);
-        }
-    }
-    clauses
-}
-
-/// A weighted placement MaxSAT instance: pigeonhole exclusivity as hard
-/// clauses with one *soft* "pigeon is placed" clause per pigeon — optimum
-/// cost `max(0, pigeons − holes)`. With `pigeons > holes` the linear
-/// strategy must descend from a poor first incumbent while the core-guided
-/// strategy pays exactly `pigeons − holes` cores into its lower bound:
-/// the family behind the `maxsat_strategies` bench group and the
-/// strategy regressions.
-pub fn placement_wcnf(pigeons: usize, holes: usize) -> maxsat::WcnfInstance {
-    let mut inst = maxsat::WcnfInstance::new();
-    let var = |p: usize, h: usize| sat::Var::new(p * holes + h).positive();
-    inst.reserve_vars(pigeons * holes);
-    for h in 0..holes {
-        for p1 in 0..pigeons {
-            for p2 in (p1 + 1)..pigeons {
-                inst.add_hard([!var(p1, h), !var(p2, h)]);
-            }
-        }
-    }
-    for p in 0..pigeons {
-        inst.add_soft(1, (0..holes).map(|h| var(p, h)));
-    }
-    inst
-}
-
 /// The mutate-one-gate family behind the `warmstart` bench group: the
 /// Fig. 3 running example plus two variants that each change exactly one
 /// gate — the "edit a circuit, re-route it" pattern the encode/solve
@@ -238,22 +176,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn planted_cnf_is_satisfied_by_planted_model() {
-        let cnf = planted_cnf(50, 200, 42);
-        assert_eq!(cnf.len(), 200);
-        let planted = |v: usize| !v.is_multiple_of(7);
-        for clause in &cnf {
-            assert_eq!(clause.len(), 3);
-            assert!(clause
-                .iter()
-                .any(|&l| (l > 0) == planted(l.unsigned_abs() as usize - 1)));
-        }
-        // Deterministic in the seed.
-        assert_eq!(cnf, planted_cnf(50, 200, 42));
-        assert_ne!(cnf, planted_cnf(50, 200, 43));
-    }
-
-    #[test]
     fn report_includes_benchmarks_and_group_medians() {
         let results = vec![
             BenchResult {
@@ -284,17 +206,6 @@ mod tests {
         assert!(json.contains("\"benchmarks\": {\n  }"));
         assert!(json.contains("\"routes\": [\n  ]"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn placement_wcnf_has_known_optimum() {
-        let inst = placement_wcnf(4, 2);
-        let out = maxsat::solve(&inst, sat::ResourceBudget::unlimited());
-        assert_eq!(out.status, maxsat::MaxSatStatus::Optimal);
-        assert_eq!(out.cost, Some(2), "4 pigeons, 2 holes: 2 must stay out");
-        let sat_inst = placement_wcnf(3, 3);
-        let sat_out = maxsat::solve(&sat_inst, sat::ResourceBudget::unlimited());
-        assert_eq!(sat_out.cost, Some(0), "equal pigeons and holes all fit");
     }
 
     #[test]

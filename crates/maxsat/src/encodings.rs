@@ -9,7 +9,7 @@
 //! * the **(generalized) totalizer**, used by the linear SAT-UNSAT MaxSAT
 //!   loop to bound the total weight of falsified soft clauses.
 
-use sat::Lit;
+use sat::{Lit, ResourceBudget};
 
 // The sink trait lives in `sat::backend` so every `SatBackend` (not just
 // the bundled solver) can receive encodings; re-exported here because this
@@ -94,18 +94,28 @@ impl Totalizer {
     /// Builds the totalizer circuit over `(lit, weight)` inputs, emitting
     /// clauses into `sink`.
     ///
+    /// Returns `None` once `budget` expires, which the build checks once
+    /// per row of every merge: over many distinct weights the number of
+    /// attainable sums, and with it the circuit, grows exponentially. The
+    /// clauses emitted until then stay in `sink`; they only define fresh
+    /// variables, so they exclude no assignment of the inputs.
+    ///
     /// # Panics
     ///
     /// Panics if any weight is zero.
-    pub fn build<S: ClauseSink>(sink: &mut S, inputs: &[(Lit, u64)]) -> Self {
+    pub fn build<S: ClauseSink>(
+        sink: &mut S,
+        inputs: &[(Lit, u64)],
+        budget: &ResourceBudget,
+    ) -> Option<Self> {
         assert!(
             inputs.iter().all(|&(_, w)| w > 0),
             "totalizer weights must be positive"
         );
         if inputs.is_empty() {
-            return Totalizer {
+            return Some(Totalizer {
                 outputs: Vec::new(),
-            };
+            });
         }
         let mut nodes: Vec<Vec<(u64, Lit)>> = inputs.iter().map(|&(l, w)| vec![(w, l)]).collect();
         // Balanced bottom-up merge.
@@ -114,7 +124,7 @@ impl Totalizer {
             let mut it = nodes.into_iter();
             while let Some(a) = it.next() {
                 match it.next() {
-                    Some(b) => next.push(Self::merge(sink, &a, &b)),
+                    Some(b) => next.push(Self::merge(sink, &a, &b, budget)?),
                     None => next.push(a),
                 }
             }
@@ -128,10 +138,15 @@ impl Totalizer {
             let (_, hi) = pair[1];
             sink.emit(&[!hi, lo]);
         }
-        Totalizer { outputs }
+        Some(Totalizer { outputs })
     }
 
-    fn merge<S: ClauseSink>(sink: &mut S, a: &[(u64, Lit)], b: &[(u64, Lit)]) -> Vec<(u64, Lit)> {
+    fn merge<S: ClauseSink>(
+        sink: &mut S,
+        a: &[(u64, Lit)],
+        b: &[(u64, Lit)],
+        budget: &ResourceBudget,
+    ) -> Option<Vec<(u64, Lit)>> {
         use std::collections::BTreeMap;
         let mut sums: BTreeMap<u64, Lit> = BTreeMap::new();
         let fresh = |sink: &mut S, sums: &mut BTreeMap<u64, Lit>, w: u64| -> Lit {
@@ -144,12 +159,15 @@ impl Totalizer {
         }
         // Combined propagation: wa from a plus wb from b.
         for &(wa, la) in a {
+            if budget.expired() {
+                return None;
+            }
             for &(wb, lb) in b {
                 let o = fresh(sink, &mut sums, wa + wb);
                 sink.emit(&[!la, !lb, o]);
             }
         }
-        sums.into_iter().collect()
+        Some(sums.into_iter().collect())
     }
 
     /// Sorted `(weight, output)` pairs of attainable sums.
@@ -240,7 +258,8 @@ mod tests {
                 let mut s = DefaultBackend::default();
                 let lits = new_lits(&mut s, n);
                 let inputs: Vec<(Lit, u64)> = lits.iter().map(|&l| (l, 1)).collect();
-                let tot = Totalizer::build(&mut s, &inputs);
+                let tot = Totalizer::build(&mut s, &inputs, &ResourceBudget::unlimited())
+                    .expect("unlimited budget");
                 for u in tot.assert_at_most(k) {
                     s.add_clause([u]);
                 }
@@ -265,7 +284,8 @@ mod tests {
                 let lits = new_lits(&mut s, weights.len());
                 let inputs: Vec<(Lit, u64)> =
                     lits.iter().zip(weights).map(|(&l, w)| (l, w)).collect();
-                let tot = Totalizer::build(&mut s, &inputs);
+                let tot = Totalizer::build(&mut s, &inputs, &ResourceBudget::unlimited())
+                    .expect("unlimited budget");
                 for u in tot.assert_at_most(k) {
                     s.add_clause([u]);
                 }
@@ -289,8 +309,18 @@ mod tests {
     #[test]
     fn totalizer_empty() {
         let mut s = DefaultBackend::default();
-        let tot = Totalizer::build(&mut s, &[]);
+        let tot = Totalizer::build(&mut s, &[], &ResourceBudget::unlimited()).expect("empty");
         assert!(tot.outputs().is_empty());
         assert!(tot.assert_at_most(0).is_empty());
+    }
+
+    #[test]
+    fn totalizer_stops_on_an_expired_budget() {
+        let mut s = DefaultBackend::default();
+        let inputs: Vec<(Lit, u64)> = new_lits(&mut s, 4).into_iter().zip(1..).collect();
+        let expired = ResourceBudget::with_time(std::time::Duration::ZERO).arm();
+        assert!(Totalizer::build(&mut s, &inputs, &expired).is_none());
+        // A single input needs no merge, so there is nothing to stop.
+        assert!(Totalizer::build(&mut s, &inputs[..1], &expired).is_some());
     }
 }

@@ -395,6 +395,35 @@ mod tests {
     }
 
     #[test]
+    fn linear_search_stops_building_a_runaway_totalizer_at_the_deadline() {
+        // Every soft is falsified by a hard unit, so the first model costs
+        // the total and linear search builds its totalizer. Over 40
+        // distinct large weights at quantum 1 nearly every subset sum is
+        // attainable: the build could never finish, so only its own budget
+        // checks can stop it.
+        let mut inst = WcnfInstance::new();
+        for i in 0..40u64 {
+            let x = inst.new_var().positive();
+            inst.add_hard([x]);
+            inst.add_soft(1_000_000_000 + i * i * i * 7_919 + i, [!x]);
+        }
+        let options = SolveOptions::default()
+            .with_totalizer_units(u64::MAX)
+            .with_strategy(Strategy::LinearSatUnsat);
+        let started = std::time::Instant::now();
+        let out = solve_with_options::<sat::DefaultBackend>(
+            &inst,
+            &ResourceBudget::with_time(Duration::from_millis(200)),
+            &options,
+        );
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_secs(1), "ran {elapsed:?}");
+        assert_eq!(out.quantum, 1);
+        assert!(out.budget_exhausted);
+        assert_eq!(out.status, MaxSatStatus::Feasible);
+    }
+
+    #[test]
     fn telemetry_reports_effort() {
         let mut inst = WcnfInstance::new();
         let a = inst.new_var().positive();

@@ -371,13 +371,14 @@ impl<'a, B: SatBackend + Default> SearchContext<'a, B> {
         result
     }
 
-    /// Runs an encoding step (totalizer construction) against the solver,
-    /// charging its wall time to the telemetry's encode bucket.
-    pub fn encode<R>(&mut self, f: impl FnOnce(&mut B) -> R) -> R {
+    /// Builds a totalizer over `inputs` into the solver within the shared
+    /// budget, charging its wall time to the telemetry's encode bucket.
+    /// `None` means the budget expired mid-build (see [`Totalizer::build`]).
+    pub fn build_totalizer(&mut self, inputs: &[(Lit, u64)]) -> Option<Totalizer> {
         let encode_start = Instant::now();
-        let r = f(&mut self.solver);
+        let tot = Totalizer::build(&mut self.solver, inputs, &self.budget);
         self.telemetry.encode_time += encode_start.elapsed();
-        r
+        tot
     }
 
     /// The subset of assumptions behind the last UNSAT answer.
@@ -677,15 +678,12 @@ impl SearchStrategy for LinearSatUnsat {
             }
             if totalizer.is_none() {
                 let inputs = ctx.quantized_indicators();
-                totalizer = Some(ctx.encode(|solver| Totalizer::build(solver, &inputs)));
+                totalizer = ctx.build_totalizer(&inputs);
             }
-            let q_cost = ctx.best_q_cost();
-            bound = totalizer
-                .as_ref()
-                .expect("just built")
-                .assert_at_most(q_cost - 1)
-                .first()
-                .copied();
+            let Some(tot) = &totalizer else {
+                return ctx.finish_exhausted(self.name());
+            };
+            bound = tot.assert_at_most(ctx.best_q_cost() - 1).first().copied();
         }
         let outcome = loop {
             if ctx.budget_expired() {
@@ -707,9 +705,11 @@ impl SearchStrategy for LinearSatUnsat {
                     // (quantized) weight sums.
                     if totalizer.is_none() {
                         let inputs = ctx.quantized_indicators();
-                        totalizer = Some(ctx.encode(|solver| Totalizer::build(solver, &inputs)));
+                        totalizer = ctx.build_totalizer(&inputs);
                     }
-                    let tot = totalizer.as_ref().expect("just built");
+                    let Some(tot) = &totalizer else {
+                        break ctx.finish_exhausted(self.name());
+                    };
                     // q_cost is an attainable sum, so the list is nonempty
                     // and the next call's model must strengthen strictly.
                     bound = tot.assert_at_most(q_cost - 1).first().copied();
@@ -849,6 +849,18 @@ impl SearchStrategy for CoreGuided {
                         break ctx.finish(MaxSatStatus::Unsat, self.name());
                     }
                     let core = ctx.trim(core);
+                    // The core's relaxation counts its violated members.
+                    // Built before any weight is paid, so a build the
+                    // budget cuts short leaves the active set consistent.
+                    let relaxation = if core.len() > 1 {
+                        let inputs: Vec<(Lit, u64)> = core.iter().map(|&c| (!c, 1)).collect();
+                        match ctx.build_totalizer(&inputs) {
+                            Some(tot) => Some(tot),
+                            None => break ctx.finish_exhausted(self.name()),
+                        }
+                    } else {
+                        None
+                    };
                     let min_w = core
                         .iter()
                         .filter_map(|c| active.iter().find(|(l, _)| l == c).map(|&(_, w)| w))
@@ -873,11 +885,9 @@ impl SearchStrategy for CoreGuided {
                         }
                     }
                     active.retain(|&(_, w)| w > 0);
-                    // Relax the core: count its violated members and allow
-                    // one for free (the lower bound already paid for it).
-                    if core.len() > 1 {
-                        let inputs: Vec<(Lit, u64)> = core.iter().map(|&c| (!c, 1)).collect();
-                        let tot = ctx.encode(|solver| Totalizer::build(solver, &inputs));
+                    // Relax the core: allow one violated member for free
+                    // (the lower bound already paid for it).
+                    if let Some(tot) = relaxation {
                         // Exhaustion: tighten the fresh totalizer's bound
                         // while UNSAT persists, paying min_w per step — a
                         // probe at bound b proves every model violates ≥ b

@@ -13,13 +13,11 @@
 //!
 //! The bundled [`Solver`] implements both and is re-exported as
 //! [`DefaultBackend`], the alias generic consumers name instead of the
-//! concrete type — swapping in an alternative backend (or a portfolio of
-//! them) is then a one-line change per call site.
+//! concrete type — swapping in an alternative backend is then a one-line
+//! change per call site.
 
 use crate::budget::ResourceBudget;
 use crate::clause_list::ClauseList;
-use crate::config::SolverConfig;
-use crate::exchange::ExchangePort;
 use crate::lit::{Lit, Var};
 use crate::solver::{SolveResult, Solver};
 use crate::stats::Stats;
@@ -55,37 +53,12 @@ pub trait SatBackend: ClauseSink {
     /// Short identifier for telemetry and experiment tables.
     fn backend_name(&self) -> &'static str;
 
-    /// Applies search-diversification knobs ([`SolverConfig`]), if the
-    /// backend supports them. The default is a no-op so third-party
-    /// backends compose into a [`crate::PortfolioBackend`] unchanged (the
-    /// portfolio then diversifies only the backends that opt in).
-    fn configure(&mut self, config: &SolverConfig) {
-        let _ = config;
-    }
-
-    /// Requests a portfolio of `width` diversified workers, if the backend
-    /// races one. The default is a no-op: single-threaded backends simply
-    /// ignore the hint, so generic callers can pass a width without
-    /// knowing the backend's shape.
-    fn set_portfolio_width(&mut self, width: usize) {
-        let _ = width;
-    }
-
-    /// Attaches this backend to a portfolio clause exchange (or detaches
-    /// it with `None`): while attached, the backend may export learned
-    /// clauses and import peers'. The default is a no-op, so backends
-    /// without clause-sharing support simply race without cooperating.
-    fn set_clause_exchange(&mut self, port: Option<ExchangePort>) {
-        let _ = port;
-    }
-
     /// Number of variables created so far.
     fn num_vars(&self) -> usize;
 
     /// Number of problem clauses loaded so far. Advisory: backends that do
-    /// not track a clause count may return 0. Consumers use
-    /// `num_vars() + num_clauses()` as the instance-size signal behind the
-    /// small-instance sharing and portfolio gates.
+    /// not track a clause count may return 0. The MaxSAT layer reports it
+    /// as the number of clauses a warm start reuses.
     fn num_clauses(&self) -> usize {
         0
     }
@@ -98,8 +71,7 @@ pub trait SatBackend: ClauseSink {
     /// backend and later solves of the same instance resume from the
     /// snapshot instead of re-emitting the encoding. Reuse is sound
     /// because learned clauses are consequences of the loaded formula and
-    /// every bound travels as an assumption, never an asserted clause
-    /// (the PR 5 conservative-extension argument).
+    /// every bound travels as an assumption, never an asserted clause.
     ///
     /// `where Self: Sized` keeps [`SatBackend`] object-safe; `dyn`
     /// consumers simply cannot snapshot.
@@ -168,14 +140,6 @@ impl SatBackend for Solver {
         "cdcl"
     }
 
-    fn configure(&mut self, config: &SolverConfig) {
-        Solver::set_config(self, *config);
-    }
-
-    fn set_clause_exchange(&mut self, port: Option<ExchangePort>) {
-        Solver::set_clause_exchange(self, port);
-    }
-
     fn num_vars(&self) -> usize {
         Solver::num_vars(self)
     }
@@ -185,13 +149,8 @@ impl SatBackend for Solver {
     }
 
     fn snapshot(&self) -> Option<Self> {
-        // The flat clause arena makes this a set of contiguous memcpys
-        // (~5.5x cheaper than re-emitting clauses, per `arena/*` benches).
-        // Any attached exchange port is dropped: a cloned port would
-        // duplicate its single-producer export slot.
-        let mut snap = self.clone();
-        Solver::set_clause_exchange(&mut snap, None);
-        Some(snap)
+        // The flat clause arena makes this a set of contiguous memcpys.
+        Some(self.clone())
     }
 
     fn reserve_vars(&mut self, n: usize) {

@@ -2,10 +2,9 @@
 //!
 //! [`ChaosBackend<B>`] wraps any [`SatBackend`] and perturbs it according
 //! to a seeded [`FaultPlan`]: spurious cancellations (a solve call returns
-//! `Unknown` without searching), artificial slowdowns, worker panics, and
-//! dropped clause-exchange attachments. Every fault draw comes from a
-//! splitmix64 stream seeded by the plan, so a failing scenario replays
-//! bit-for-bit from its seed.
+//! `Unknown` without searching), artificial slowdowns and panics. Every
+//! fault draw comes from a splitmix64 stream seeded by the plan, so a
+//! failing scenario replays bit-for-bit from its seed.
 //!
 //! The **soundness contract** is that every injected fault maps to a
 //! degradation the real system could exhibit anyway, never to a wrong
@@ -15,11 +14,8 @@
 //!   what a budget expiry produces, and always a sound answer;
 //! * a slowdown only burns wall-clock, pushing the caller toward its own
 //!   deadline handling;
-//! * a panic unwinds the worker thread; the portfolio retires the worker
-//!   and races on ([`crate::PortfolioBackend`]);
-//! * a dropped exchange port only withholds imported lemmas, which are
-//!   consequences of the shared formula — losing them costs time, not
-//!   correctness.
+//! * a panic unwinds the routing thread; the routing supervisor catches
+//!   it and retries or degrades the request, as it would for a real bug.
 //!
 //! Consequently any outcome a chaos-wrapped stack *does* prove (`Sat`,
 //! `Unsat`, a MaxSAT optimum) is as trustworthy as one from the plain
@@ -54,8 +50,6 @@ use std::time::Duration;
 
 use crate::backend::{ClauseSink, SatBackend};
 use crate::budget::{unit_draw, ResourceBudget};
-use crate::config::SolverConfig;
-use crate::exchange::ExchangePort;
 use crate::lit::{Lit, Var};
 use crate::solver::SolveResult;
 use crate::stats::Stats;
@@ -64,13 +58,10 @@ use crate::stats::Stats;
 /// [`silence_panic_reports`] hook) can tell chaos apart from real bugs.
 pub const CHAOS_PANIC: &str = "chaos: injected worker panic";
 
-/// A seeded schedule of faults for one [`ChaosBackend`] (and, through
-/// cloning and diversification, a whole portfolio of them).
+/// A seeded schedule of faults for one [`ChaosBackend`].
 ///
 /// Probabilities are per *solve call*; draws come from a splitmix64 stream
-/// derived from `seed` (and re-mixed with each worker's diversified
-/// [`SolverConfig::seed`]), so different portfolio workers see different —
-/// but individually reproducible — fault sequences.
+/// rooted at `seed`, so a fault sequence is reproducible.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Root of the fault-draw stream.
@@ -84,13 +75,6 @@ pub struct FaultPlan {
     pub delay_prob: f64,
     /// Length of an injected slowdown.
     pub delay: Duration,
-    /// Probability an exchange-port attachment is silently dropped (the
-    /// worker then races without importing peers' lemmas).
-    pub drop_import_prob: f64,
-    /// Deterministic targeting: a worker whose diversified config seed
-    /// equals this tag panics on its next solve call regardless of
-    /// `panic_prob` — the knob behind "exactly one racer dies" tests.
-    pub panic_tag: Option<u64>,
 }
 
 impl Default for FaultPlan {
@@ -102,8 +86,6 @@ impl Default for FaultPlan {
             cancel_prob: 0.0,
             delay_prob: 0.0,
             delay: Duration::from_millis(1),
-            drop_import_prob: 0.0,
-            panic_tag: None,
         }
     }
 }
@@ -138,26 +120,9 @@ impl FaultPlan {
         self
     }
 
-    /// Returns a copy with the exchange-drop probability set.
-    pub fn drop_import_prob(mut self, p: f64) -> Self {
-        self.drop_import_prob = p;
-        self
-    }
-
-    /// Returns a copy targeting the worker whose diversified config seed is
-    /// `tag` for a guaranteed panic (see [`FaultPlan::panic_tag`]).
-    pub fn panic_tag(mut self, tag: u64) -> Self {
-        self.panic_tag = Some(tag);
-        self
-    }
-
     /// True if the plan injects nothing.
     pub fn is_benign(&self) -> bool {
-        self.panic_prob == 0.0
-            && self.cancel_prob == 0.0
-            && self.delay_prob == 0.0
-            && self.drop_import_prob == 0.0
-            && self.panic_tag.is_none()
+        self.panic_prob == 0.0 && self.cancel_prob == 0.0 && self.delay_prob == 0.0
     }
 }
 
@@ -215,9 +180,6 @@ pub struct ChaosBackend<B> {
     plan: FaultPlan,
     /// Fault-draw stream state; advanced by one splitmix64 step per draw.
     rng: u64,
-    /// The diversified config seed last applied, matched against
-    /// [`FaultPlan::panic_tag`].
-    tag: u64,
 }
 
 impl<B: Default> Default for ChaosBackend<B> {
@@ -249,7 +211,6 @@ impl<B> ChaosBackend<B> {
             inner,
             plan,
             rng: plan.seed,
-            tag: 0,
         }
     }
 
@@ -284,33 +245,6 @@ impl<B: SatBackend> SatBackend for ChaosBackend<B> {
         "chaos"
     }
 
-    fn configure(&mut self, config: &SolverConfig) {
-        // Re-root this worker's fault stream on its diversified seed so
-        // portfolio peers draw different (but reproducible) faults, and
-        // remember the seed as the panic-targeting tag.
-        self.tag = config.seed;
-        self.rng = self.plan.seed ^ config.seed.rotate_left(17);
-        self.inner.configure(config);
-    }
-
-    fn set_portfolio_width(&mut self, width: usize) {
-        self.inner.set_portfolio_width(width);
-    }
-
-    fn set_clause_exchange(&mut self, port: Option<ExchangePort>) {
-        // A dropped attachment starves this worker of imports — lemmas it
-        // would only ever *gain* pruning from — so the race gets slower,
-        // never wrong.
-        if port.is_some() && self.plan.drop_import_prob > 0.0 {
-            let roll = self.draw();
-            if roll < self.plan.drop_import_prob {
-                self.inner.set_clause_exchange(None);
-                return;
-            }
-        }
-        self.inner.set_clause_exchange(port);
-    }
-
     fn num_vars(&self) -> usize {
         self.inner.num_vars()
     }
@@ -328,7 +262,6 @@ impl<B: SatBackend> SatBackend for ChaosBackend<B> {
             inner,
             plan: self.plan,
             rng: self.rng.wrapping_add(0xA5A5_A5A5_A5A5_A5A5),
-            tag: self.tag,
         })
     }
 
@@ -345,9 +278,6 @@ impl<B: SatBackend> SatBackend for ChaosBackend<B> {
         assumptions: &[Lit],
         budget: &ResourceBudget,
     ) -> SolveResult {
-        if self.plan.panic_tag == Some(self.tag) {
-            panic!("{CHAOS_PANIC} (targeted worker, tag {})", self.tag);
-        }
         if self.plan.panic_prob > 0.0 && self.draw() < self.plan.panic_prob {
             panic!("{CHAOS_PANIC} (seed {})", self.plan.seed);
         }
@@ -435,31 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn targeted_panic_fires_only_on_the_tagged_worker() {
-        silence_panic_reports();
-        let plan = FaultPlan::seeded(1).panic_tag(42);
-        let mut tagged = Chaotic::with_plan(plan);
-        let config = SolverConfig {
-            seed: 42,
-            ..SolverConfig::default()
-        };
-        SatBackend::configure(&mut tagged, &config);
-        trivially_sat(&mut tagged);
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            tagged.solve_under_assumptions(&[], &ResourceBudget::unlimited())
-        }))
-        .is_err());
-
-        let mut untagged = Chaotic::with_plan(plan);
-        trivially_sat(&mut untagged);
-        assert_eq!(
-            untagged.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
-            SolveResult::Sat,
-            "workers with a different tag run clean"
-        );
-    }
-
-    #[test]
     fn fault_draws_are_deterministic_per_seed() {
         // Same seed, same circuit of calls: identical outcomes.
         let outcomes = |seed: u64| {
@@ -493,32 +398,6 @@ mod tests {
             clean.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
             SolveResult::Sat
         );
-    }
-
-    #[test]
-    fn dropped_exchange_attachment_only_withholds_imports() {
-        use crate::exchange::ClauseExchange;
-        use std::sync::Arc;
-        // A peer has published a clause over the worker's variables: an
-        // attached worker imports it at solve entry, a dropped one cannot.
-        let run = |drop_prob: f64| {
-            let exchange = Arc::new(ClauseExchange::new(2));
-            let mut peer = ExchangePort::new(exchange.clone(), 1);
-            let mut c = Chaotic::with_plan(FaultPlan::seeded(2).drop_import_prob(drop_prob));
-            trivially_sat(&mut c);
-            let x = c.new_var().positive();
-            let y = c.new_var().positive();
-            assert!(peer.export(&[x, y], 2));
-            c.set_clause_exchange(Some(ExchangePort::new(exchange, 0)));
-            // The worker answers correctly either way.
-            assert_eq!(
-                c.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
-                SolveResult::Sat
-            );
-            c.stats().clauses_imported
-        };
-        assert_eq!(run(0.0), 1, "an attached worker imports the peer clause");
-        assert_eq!(run(1.0), 0, "the attachment must have been dropped");
     }
 
     #[test]

@@ -7,17 +7,13 @@
 //! Clauses live in a flat arena ([`crate::clause`]) that is periodically
 //! garbage-collected; watch lists and reason references are remapped in
 //! one pass per compaction. Supports incremental solving under
-//! assumptions, cooperative [`ResourceBudget`]s (conflicts or wall-clock
-//! deadlines), which the MaxSAT layer uses for anytime behaviour, and
-//! portfolio clause sharing through an optional [`ExchangePort`]: learned
-//! clauses below the glue threshold are exported during search and peers'
-//! clauses are imported at restart boundaries.
+//! assumptions and cooperative [`ResourceBudget`]s (conflicts or
+//! wall-clock deadlines), which the MaxSAT layer uses for anytime
+//! behaviour.
 
 use crate::budget::ResourceBudget;
 use crate::clause::{ClauseDb, ClauseRef};
 use crate::clause_list::ClauseList;
-use crate::config::{PhaseInit, SolverConfig, XorShift64};
-use crate::exchange::ExchangePort;
 use crate::lit::{LBool, Lit, Var};
 use crate::order::VarOrder;
 use crate::stats::Stats;
@@ -45,8 +41,8 @@ struct Watcher {
 ///
 /// Cloning a solver duplicates its entire state — for the clause store
 /// that is one `memcpy` of the flat arena, which is how
-/// [`crate::PortfolioBackend`] materializes diversified workers from a
-/// loaded template instead of re-emitting every clause per worker.
+/// [`crate::SatBackend::snapshot`] stashes a loaded solver for a warm
+/// start instead of re-emitting every clause.
 ///
 /// # Examples
 ///
@@ -93,13 +89,7 @@ pub struct Solver {
     /// level, validated against `lbd_gen` (no per-clause allocation).
     lbd_stamp: Vec<u32>,
     lbd_gen: u32,
-    /// Diversification knobs (restarts, polarity, phase, seed).
-    config: SolverConfig,
-    /// Deterministic PRNG driving every randomized knob.
-    rng: XorShift64,
-    /// Portfolio clause-sharing port, when racing (see [`ExchangePort`]).
-    exchange: Option<ExchangePort>,
-    /// Reusable scratch in which added and imported clauses are simplified.
+    /// Reusable scratch in which added clauses are simplified.
     add_buf: Vec<Lit>,
 }
 
@@ -131,15 +121,8 @@ fn lit_value(assigns: &[LBool], l: Lit) -> LBool {
 }
 
 impl Solver {
-    /// Creates an empty solver with no variables or clauses and the
-    /// undiversified default configuration.
+    /// Creates an empty solver with no variables or clauses.
     pub fn new() -> Self {
-        Self::with_config(SolverConfig::default())
-    }
-
-    /// Creates an empty solver with the given search-diversification
-    /// configuration.
-    pub fn with_config(config: SolverConfig) -> Self {
         Solver {
             db: ClauseDb::new(),
             watches: Vec::new(),
@@ -165,48 +148,7 @@ impl Solver {
             max_learnt: 2000.0,
             lbd_stamp: Vec::new(),
             lbd_gen: 0,
-            rng: XorShift64::new(config.seed),
-            config,
-            exchange: None,
             add_buf: Vec::new(),
-        }
-    }
-
-    /// Replaces the search-diversification configuration.
-    ///
-    /// Reseeds the PRNG and re-initializes the saved phase of *existing*
-    /// variables per the new [`PhaseInit`] policy (phase saving overwrites
-    /// it as search progresses, as usual). Intended to be called before
-    /// solving starts; safe at any root-level point.
-    pub fn set_config(&mut self, config: SolverConfig) {
-        self.rng = XorShift64::new(config.seed);
-        self.config = config;
-        for i in 0..self.polarity.len() {
-            let p = self.initial_phase();
-            self.polarity[i] = p;
-        }
-    }
-
-    /// The active search-diversification configuration.
-    pub fn solver_config(&self) -> &SolverConfig {
-        &self.config
-    }
-
-    /// Attaches this solver to a portfolio clause exchange (or detaches it
-    /// with `None`). While attached, learned clauses below the exchange's
-    /// glue threshold are exported during search and peers' clauses are
-    /// imported at restart boundaries — both sound, since learned clauses
-    /// are logical consequences of the shared formula.
-    pub fn set_clause_exchange(&mut self, port: Option<ExchangePort>) {
-        self.exchange = port;
-    }
-
-    /// Initial saved phase for a variable per the configured policy.
-    fn initial_phase(&mut self) -> bool {
-        match self.config.phase_init {
-            PhaseInit::Negative => false,
-            PhaseInit::Positive => true,
-            PhaseInit::Random => self.rng.next_bool(),
         }
     }
 
@@ -229,19 +171,12 @@ impl Solver {
     /// Creates a fresh variable and returns it.
     pub fn new_var(&mut self) -> Var {
         let v = Var::new(self.assigns.len());
-        let phase = self.initial_phase();
-        // A nonzero seed perturbs the initial VSIDS tie-breaking order with
-        // a jitter far below one activity bump, diversifying only ties.
-        let jitter = if self.config.seed != 0 {
-            self.rng.next_f64() * 1e-6
-        } else {
-            0.0
-        };
+        // New variables branch negative first (MiniSat's default phase).
         self.assigns.push(LBool::Undef);
-        self.polarity.push(phase);
+        self.polarity.push(false);
         self.reason.push(None);
         self.level.push(0);
-        self.activity.push(jitter);
+        self.activity.push(0.0);
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
@@ -677,11 +612,9 @@ impl Solver {
     fn record_learnt(&mut self, learnt: Vec<Lit>) {
         self.stats.learned_literals += learnt.len() as u64;
         if learnt.len() == 1 {
-            self.export_clause(&learnt, 1);
             self.unchecked_enqueue(learnt[0], None);
         } else {
             let lbd = self.compute_lbd(&learnt);
-            self.export_clause(&learnt, lbd);
             let asserting = learnt[0];
             let cref = self.db.alloc(&learnt, true, lbd);
             self.attach(cref);
@@ -689,73 +622,6 @@ impl Solver {
             self.unchecked_enqueue(asserting, Some(cref));
             self.stats.arena_bytes = self.db.arena_bytes() as u64;
         }
-    }
-
-    /// Offers a learned clause to the attached exchange, if any.
-    fn export_clause(&mut self, lits: &[Lit], lbd: u32) {
-        if let Some(port) = &mut self.exchange {
-            if port.export(lits, lbd) {
-                self.stats.clauses_exported += 1;
-            }
-        }
-    }
-
-    /// Imports peers' shared clauses at a root-level point. Returns `false`
-    /// when the imports (all logical consequences) close the formula —
-    /// i.e. a root conflict proves unsatisfiability.
-    fn import_shared(&mut self) -> bool {
-        let Some(mut port) = self.exchange.take() else {
-            return self.ok;
-        };
-        debug_assert_eq!(self.decision_level(), 0);
-        let mut imported = 0u64;
-        port.drain(&mut |lits, lbd| {
-            if self.import_clause(lits, lbd) {
-                imported += 1;
-            }
-        });
-        self.exchange = Some(port);
-        if imported > 0 {
-            self.stats.clauses_imported += imported;
-            self.stats.arena_bytes = self.db.arena_bytes() as u64;
-            if self.ok && self.propagate().is_some() {
-                self.ok = false;
-            }
-        }
-        self.ok
-    }
-
-    /// Adds one imported clause as a learned clause, simplifying against
-    /// the root-level trail. Returns `true` if the clause (or its implied
-    /// unit) was recorded.
-    fn import_clause(&mut self, lits: &[Lit], lbd: u32) -> bool {
-        if !self.ok || lits.iter().any(|l| l.var().index() >= self.num_vars()) {
-            // Unknown variables can only mean a misrouted port; drop.
-            return false;
-        }
-        let mut ps = std::mem::take(&mut self.add_buf);
-        ps.clear();
-        ps.extend_from_slice(lits);
-        let recorded = self.simplify_at_root(&mut ps)
-            && match ps.len() {
-                0 => {
-                    // An imported consequence is empty at root: unsatisfiable.
-                    self.ok = false;
-                    true
-                }
-                1 => {
-                    self.unchecked_enqueue(ps[0], None);
-                    true
-                }
-                _ => {
-                    let lbd = lbd.clamp(1, ps.len() as u32);
-                    let cref = self.db.alloc(&ps, true, lbd);
-                    self.attach(cref);
-                    true
-                }
-            };
-        self.add_buf = ps;
-        recorded
     }
 
     /// Literal block distance of `lits` via the reusable level-stamp
@@ -875,14 +741,7 @@ impl Solver {
     fn pick_branch(&mut self) -> Option<Lit> {
         while let Some(v) = self.order.pop_max(&self.activity) {
             if self.assigns[v.index()] == LBool::Undef {
-                let positive = if self.config.random_polarity_freq > 0.0
-                    && self.rng.next_f64() < self.config.random_polarity_freq
-                {
-                    self.rng.next_bool()
-                } else {
-                    self.polarity[v.index()]
-                };
-                return Some(Lit::new(v, positive));
+                return Some(Lit::new(v, self.polarity[v.index()]));
             }
         }
         None
@@ -920,15 +779,11 @@ impl Solver {
             self.ok = false;
             return SolveResult::Unsat;
         }
-        // Pick up clauses faster peers in this race have already shared.
-        if !self.import_shared() {
-            return SolveResult::Unsat;
-        }
 
         let conflict_start = self.stats.conflicts;
         let mut restart_idx = 0u64;
         loop {
-            let restart_budget = self.config.restart_interval(luby(restart_idx));
+            let restart_budget = restart_interval(restart_idx);
             restart_idx += 1;
             match self.search(assumptions, restart_budget, &budget, conflict_start) {
                 SearchOutcome::Sat => {
@@ -943,12 +798,6 @@ impl Solver {
                 SearchOutcome::Restart => {
                     self.cancel_until(0);
                     self.stats.restarts += 1;
-                    // Restart boundaries are the import points for shared
-                    // clauses: the trail is at root, so every import lands
-                    // as a proper root-level learned clause.
-                    if !self.import_shared() {
-                        return SolveResult::Unsat;
-                    }
                 }
                 SearchOutcome::BudgetExhausted => {
                     self.cancel_until(0);
@@ -1158,6 +1007,12 @@ fn two_smallest(c: &[Lit]) -> Option<(Lit, Lit)> {
     Some((first?, second?))
 }
 
+/// The conflict allowance of restart `i`: 100 conflicts times the `i`-th
+/// term of the Luby sequence.
+fn restart_interval(i: u64) -> u64 {
+    100 * luby(i)
+}
+
 /// The Luby restart sequence (1,1,2,1,1,2,4,...).
 fn luby(mut i: u64) -> u64 {
     // Find the finite subsequence that contains index i.
@@ -1201,6 +1056,26 @@ mod tests {
         let expect = [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8];
         let got: Vec<u64> = (0..expect.len() as u64).map(luby).collect();
         assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn restart_interval_is_100_times_luby() {
+        assert_eq!(restart_interval(0), 100);
+        assert_eq!(restart_interval(2), 200);
+        assert_eq!(restart_interval(6), 400);
+        assert_eq!(restart_interval(14), 800);
+    }
+
+    #[test]
+    fn unconstrained_variable_is_false_in_the_model() {
+        // A fresh variable's saved phase is negative, so a variable no
+        // clause mentions is decided false.
+        let mut s = Solver::new();
+        let (a, free) = (lit(&mut s, 1), lit(&mut s, 2));
+        s.add_clause([a]);
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(s.model_value(a), Some(true));
+        assert_eq!(s.model_value(free), Some(false));
     }
 
     #[test]
@@ -1358,7 +1233,7 @@ mod tests {
 
     #[test]
     fn cloned_solver_is_independent_and_equivalent() {
-        // The arena clone path the portfolio relies on: a clone answers
+        // The arena clone path warm starts rely on: a clone answers
         // like the original and diverges cleanly on later additions.
         let mut s = Solver::new();
         let (a, b) = (lit(&mut s, 1), lit(&mut s, 2));
@@ -1397,52 +1272,5 @@ mod tests {
         }
         assert_eq!(s.solve(), SolveResult::Unsat);
         assert!(s.stats().arena_bytes > 0);
-    }
-
-    #[test]
-    fn export_and_import_flow_between_attached_solvers() {
-        use crate::exchange::{ClauseExchange, ExchangePort};
-        use std::sync::Arc;
-
-        // Worker 0 learns clauses on a hard UNSAT instance and exports
-        // them; worker 1 then imports at its restart boundaries and must
-        // reach the same answer.
-        let build = |s: &mut Solver| {
-            let n = 5usize;
-            let m = 4usize;
-            let var = |p: usize, h: usize| (p * m + h + 1) as i64;
-            for p in 0..n {
-                let row: Vec<Lit> = (0..m).map(|h| lit(s, var(p, h))).collect();
-                s.add_clause(row);
-            }
-            for h in 0..m {
-                for p1 in 0..n {
-                    for p2 in (p1 + 1)..n {
-                        let (l1, l2) = (lit(s, var(p1, h)), lit(s, var(p2, h)));
-                        s.add_clause([!l1, !l2]);
-                    }
-                }
-            }
-        };
-        let exchange = Arc::new(ClauseExchange::new(2));
-        let mut exporter = Solver::new();
-        build(&mut exporter);
-        exporter.set_clause_exchange(Some(ExchangePort::new(exchange.clone(), 0)));
-        assert_eq!(exporter.solve(), SolveResult::Unsat);
-        assert!(
-            exporter.stats().clauses_exported > 0,
-            "low-LBD clauses must be exported: {}",
-            exporter.stats()
-        );
-
-        let mut importer = Solver::new();
-        build(&mut importer);
-        importer.set_clause_exchange(Some(ExchangePort::new(exchange, 1)));
-        assert_eq!(importer.solve(), SolveResult::Unsat);
-        assert!(
-            importer.stats().clauses_imported > 0,
-            "peer clauses must be imported: {}",
-            importer.stats()
-        );
     }
 }

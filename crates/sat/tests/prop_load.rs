@@ -8,8 +8,8 @@
 
 use proptest::prelude::*;
 use sat::{
-    ChaosBackend, ClauseList, FaultPlan, Lit, PortfolioBackend, ResourceBudget, SatBackend,
-    SolveResult, Solver, Stats,
+    ChaosBackend, ClauseList, FaultPlan, Lit, ResourceBudget, SatBackend, SolveResult, Solver,
+    Stats,
 };
 
 /// A literal over `1..=num_vars`.
@@ -111,14 +111,6 @@ proptest! {
         let bulk = run(Solver::new(), num_vars, &batches, true);
         let each = run(Solver::new(), num_vars, &batches, false);
         prop_assert_eq!(&bulk, &each);
-
-        let portfolio = || PortfolioBackend::<Solver>::with_width(1);
-        prop_assert_eq!(
-            run(portfolio(), num_vars, &batches, true),
-            run(portfolio(), num_vars, &batches, false)
-        );
-        // The portfolio at width 1 searches exactly like a bare solver.
-        prop_assert_eq!(&run(portfolio(), num_vars, &batches, true).models, &bulk.models);
 
         let chaos = || ChaosBackend::<Solver>::with_plan(FaultPlan::default());
         prop_assert_eq!(

@@ -3,17 +3,14 @@
 //! requests do exactly the work sequential ones do; cooperative
 //! cancellation reaches a solve on another thread through the
 //! budget-inheritance chain; and the multi-core experiment runner's rows
-//! and work counts do not depend on the job count. Two tests also pin the
-//! sat crate's portfolio library, which no routing path uses.
+//! and work counts do not depend on the job count.
 
 use std::time::{Duration, Instant};
 
 use circuit::{verify::verify, Circuit, RouteRequest, RouteSpec, Slicing};
 use experiments::runner::{run_suite, run_tool};
 use routers::RouterRegistry;
-use sat::{
-    CancelToken, DefaultBackend, Lit, PortfolioBackend, ResourceBudget, SatBackend, SolveResult,
-};
+use sat::{CancelToken, DefaultBackend, Lit, ResourceBudget, SatBackend, SolveResult};
 
 /// The paper's Fig. 3a running example.
 fn fig3() -> Circuit {
@@ -242,41 +239,6 @@ fn cancel_token_reaches_a_plain_solver_deep_in_the_chain() {
 }
 
 #[test]
-fn sharing_on_and_off_portfolios_agree_and_cooperate() {
-    // The sat crate's portfolio backend, a library component the routing
-    // stack does not use. Same hard UNSAT race with sharing on and off:
-    // identical answers, and the sharing side must actually move clauses
-    // (nonzero imports). PHP(7,6) sits below the default sharing size
-    // gate, so the sharing side opens it explicitly — the override the
-    // gate documents.
-    let mut with_sharing = PortfolioBackend::<DefaultBackend>::with_width(4);
-    with_sharing.set_sharing_min_instance_size(0);
-    load_pigeonhole(&mut with_sharing, 7, 6);
-    let mut without = PortfolioBackend::<DefaultBackend>::with_width(4);
-    without.set_sharing(false);
-    load_pigeonhole(&mut without, 7, 6);
-    let unlimited = ResourceBudget::unlimited();
-    assert_eq!(
-        with_sharing.solve_under_assumptions(&[], &unlimited),
-        SolveResult::Unsat
-    );
-    assert_eq!(
-        without.solve_under_assumptions(&[], &unlimited),
-        SolveResult::Unsat
-    );
-    assert!(
-        with_sharing.stats().clauses_imported > 0,
-        "sharing race must import peer clauses: {}",
-        with_sharing.stats()
-    );
-    assert_eq!(
-        without.stats().clauses_imported,
-        0,
-        "sharing off must not import"
-    );
-}
-
-#[test]
 fn routing_telemetry_carries_arena_fields() {
     // The arena counters must flow through maxsat into RouteOutcome and
     // its JSON row — the schema the experiment sweeps and
@@ -297,16 +259,6 @@ fn routing_telemetry_carries_arena_fields() {
     let json = outcome.to_json();
     for key in ["\"compactions\":", "\"arena_bytes\":"] {
         assert!(json.contains(key), "row schema must carry {key}: {json}");
-    }
-}
-
-#[test]
-fn diversified_workers_agree_on_unsat() {
-    // Diversification changes the search order, never the answer.
-    for n in 0..5usize {
-        let mut s = sat::Solver::with_config(sat::SolverConfig::diversified(n));
-        load_pigeonhole(&mut s, 4, 3);
-        assert_eq!(s.solve(), SolveResult::Unsat, "worker {n} preset");
     }
 }
 
