@@ -515,10 +515,11 @@ pub enum RouteQuality {
     /// produce either this or a typed failure.
     #[default]
     Optimal,
-    /// Same proof strength as [`RouteQuality::Optimal`], but reached after
-    /// `n` failed attempts via warm-started retries (the session's clause
-    /// DB and bounds are a conservative extension of the instance, so the
-    /// re-solve proves the *same* optimum, just faster).
+    /// Same proof strength as [`RouteQuality::Optimal`], proven on retry
+    /// `n` of the escalation ladder. The retry may warm-start from the
+    /// failed attempt's session; its clause DB and bounds are a
+    /// conservative extension of the instance, so the re-solve proves the
+    /// *same* optimum.
     WarmRetry(u32),
     /// Best-effort only: the escalation ladder fell back to a heuristic
     /// router, or the solver returned an incumbent it could not prove

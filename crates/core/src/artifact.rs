@@ -1,24 +1,25 @@
-//! The encode/solve split: cacheable encoding artifacts and warm-start
-//! route sessions.
+//! The encode/solve split: encoding artifacts and warm-start route
+//! sessions.
 //!
 //! Routing a request monolithically has two separable halves: building the
 //! circuit→WCNF encoding (pure — a function of the canonicalized circuit,
 //! the device graph, and the resolved knobs) and searching it. This module
-//! reifies the first half as an [`EncodedArtifact`], keyed by the
-//! request's canonical [`circuit::RouteRequest::fingerprint`], so callers
-//! that route the same request repeatedly — retry loops with growing
-//! budgets, sweeps, caches — skip re-encoding entirely.
+//! reifies the first half as an [`EncodedArtifact`], stamped with the
+//! request's canonical [`circuit::RouteRequest::fingerprint`], so a caller
+//! can time or count the encode apart from the search, or solve one
+//! encoding more than once.
 //!
 //! A [`RouteSession`] goes further: alongside the artifact it keeps the
 //! MaxSAT engine's [`maxsat::MaxSatSession`] — the solver with its loaded
 //! clause arena (learned clauses included), the incumbent model, and the
-//! strategy's bound progress. A follow-up solve of the same artifact warm
-//! starts from all of it: the prior incumbent seeds the search through the
-//! solver's saved phases, the prior bound becomes the first assumption,
-//! and every carried learned clause prunes the new search. Reuse is sound
-//! because all bounds travel as assumptions, never asserted clauses, so
-//! the carried clause database is a conservative extension of the
-//! instance (see [`maxsat::MaxSatSession`] for the full argument).
+//! strategy's bound progress. The routing supervisor holds one for the
+//! attempts of a single request's retry ladder: a retry under a bigger
+//! budget warm starts from all of it. The prior incumbent seeds the search
+//! through the solver's saved phases, the prior bound becomes the first
+//! assumption, and every carried learned clause prunes the new search.
+//! Reuse is sound because all bounds travel as assumptions, never asserted
+//! clauses, so the carried clause database is a conservative extension of
+//! the instance (see [`maxsat::MaxSatSession`] for the full argument).
 
 use std::time::Duration;
 
@@ -88,26 +89,5 @@ impl<B: SatBackend> RouteSession<B> {
     /// re-emitting (0 when no solver state is held yet).
     pub fn reusable_clauses(&self) -> usize {
         self.session.as_ref().map_or(0, |s| s.reusable_clauses())
-    }
-
-    /// An independent copy via the backend's arena snapshot, so one solved
-    /// session can seed several warm re-solves (the caching layer forks
-    /// per request, keeping its stored entry valid even if the warm solve
-    /// is abandoned mid-search). `None` when the backend cannot snapshot;
-    /// the copy of a session without solver state is just the artifact,
-    /// which requires re-encoding — hence the `Option` on the whole call.
-    pub fn fork(&self) -> Option<RouteSession<B>> {
-        let session = match &self.session {
-            Some(s) => Some(s.fork()?),
-            None => return None,
-        };
-        Some(RouteSession {
-            artifact: EncodedArtifact {
-                enc: self.artifact.enc.clone(),
-                fingerprint: self.artifact.fingerprint,
-                encode_time: self.artifact.encode_time,
-            },
-            session,
-        })
     }
 }

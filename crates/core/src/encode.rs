@@ -115,9 +115,7 @@ impl VarLayout {
 }
 
 /// The variable layout and constraint set for one QMR (sub)problem.
-/// `Clone` supports forked [`crate::RouteSession`]s: the encoding is the
-/// immutable half of a session, duplicated alongside the solver snapshot.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct QmrEncoding {
     instance: WcnfInstance,
     vars: VarLayout,
@@ -979,36 +977,5 @@ mod tests {
         let text = enc.instance().to_wcnf();
         let parsed = maxsat::WcnfInstance::parse_wcnf(&text).expect("round trips");
         assert_eq!(&parsed, enc.instance());
-    }
-
-    #[test]
-    fn cloned_encoding_is_equal_and_independent() {
-        // A forked route session clones the encoding next to the solver
-        // snapshot, so the clone must be the same instance and layout.
-        let circuit = fig3_circuit();
-        let graph = fig3_graph();
-        let enc = QmrEncoding::build(
-            &circuit,
-            &graph,
-            1,
-            EncodeShape::continuation(1),
-            &Objective::SwapCount,
-        );
-        let mut fork = enc.clone();
-        assert_eq!(fork.instance(), enc.instance());
-        assert_eq!(fork.num_states(), enc.num_states());
-        assert_eq!(fork.interactions(), enc.interactions());
-        let model = solve(enc.instance(), ResourceBudget::unlimited())
-            .model
-            .expect("model");
-        let decoded = enc.decode(&model);
-        assert_eq!(fork.decode(&model), decoded);
-
-        fork.forbid_final_map(decoded.0.last().expect("states"));
-        assert_eq!(
-            fork.instance().hard_clauses().len(),
-            enc.instance().hard_clauses().len() + 1
-        );
-        assert_ne!(fork.instance(), enc.instance());
     }
 }

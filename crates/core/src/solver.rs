@@ -14,7 +14,7 @@
 //! returned [`circuit::RouteOutcome`].
 
 use std::marker::PhantomData;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use arch::ConnectivityGraph;
 use circuit::{
@@ -292,34 +292,27 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
         let (circuit, graph) = (request.circuit(), request.graph());
         let budget = p.budget.arm();
         let result = match p.slice_size {
-            None => self.route_monolithic(circuit, graph, p, &budget, &mut telemetry, proof),
-            Some(size) => {
-                if circuit.num_two_qubit_gates() <= size {
-                    // One slice: identical to monolithic.
-                    self.route_monolithic(circuit, graph, p, &budget, &mut telemetry, proof)
-                } else {
-                    self.route_sliced(circuit, graph, size, p, &budget, &mut telemetry, proof)
-                }
+            Some(size) if !Self::is_monolithic(circuit, p) => {
+                self.route_sliced(circuit, graph, size, p, &budget, &mut telemetry, proof)
             }
+            _ => self
+                .build_artifact(request, p, &mut telemetry)
+                .and_then(|artifact| {
+                    // The cold session is dropped before decoding: a solver
+                    // kept alive while the decode allocates fragments the
+                    // heap, and peak RSS creeps up over many requests.
+                    let out = self.solve_monolithic(
+                        &artifact,
+                        p,
+                        &budget,
+                        &mut None,
+                        &mut telemetry,
+                        proof,
+                    );
+                    decode_monolithic(circuit, artifact.encoding(), out, p.swaps_per_gap)
+                }),
         };
         (result, telemetry)
-    }
-
-    /// Routes the circuit as one monolithic MaxSAT problem (NL-SATMAP).
-    fn route_monolithic(
-        &self,
-        circuit: &Circuit,
-        graph: &ConnectivityGraph,
-        p: &Resolved,
-        budget: &ResourceBudget,
-        telemetry: &mut SolverTelemetry,
-        proof: &mut Proof,
-    ) -> Result<RoutedCircuit, RouteError> {
-        guard_memory(circuit, graph, p)?;
-        let enc = self.build_encoding(circuit, graph, EncodeShape::first_slice(), p, telemetry);
-        let out = self.solve_instance(&enc, p, budget, telemetry);
-        proof.observe(&out);
-        decode_monolithic(circuit, &enc, out, p.swaps_per_gap)
     }
 
     /// True when the resolved parameters route `circuit` as one monolithic
@@ -358,6 +351,26 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
             fingerprint: request.fingerprint(),
             encode_time,
         })
+    }
+
+    /// One MaxSAT search over a monolithic artifact (NL-SATMAP), resuming
+    /// from — and re-depositing — the engine session in `session`; a
+    /// `None` session solves cold. Every monolithic route solves here:
+    /// [`Router::route_request`], [`SatMap::solve_artifact`] and
+    /// [`SatMap::route_with_session`].
+    fn solve_monolithic(
+        &self,
+        artifact: &EncodedArtifact,
+        p: &Resolved,
+        budget: &ResourceBudget,
+        session: &mut Option<MaxSatSession<B>>,
+        telemetry: &mut SolverTelemetry,
+        proof: &mut Proof,
+    ) -> maxsat::MaxSatOutcome {
+        let out = maxsat::solve_with_session::<B>(artifact.instance(), budget, &p.options, session);
+        telemetry.absorb(&out.telemetry);
+        proof.observe(&out);
+        out
     }
 
     /// Encode half of the encode/solve split: builds the circuit→WCNF
@@ -413,9 +426,7 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
             }
             let budget = p.budget.arm();
             let out =
-                maxsat::solve_with_session::<B>(artifact.instance(), &budget, &p.options, session);
-            telemetry.absorb(&out.telemetry);
-            proof.observe(&out);
+                self.solve_monolithic(artifact, &p, &budget, session, &mut telemetry, &mut proof);
             (
                 decode_monolithic(request.circuit(), artifact.encoding(), out, p.swaps_per_gap),
                 telemetry,
@@ -439,42 +450,36 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
         slot: &mut Option<RouteSession<B>>,
     ) -> RouteOutcome {
         let p = self.config.resolve(request);
-        if let Err(e) = request.validate() {
-            let outcome =
-                RouteOutcome::new(self.name(), Err(e), SolverTelemetry::new(), Duration::ZERO);
-            return stamp_diagnostics(outcome, &p);
-        }
         if !Self::is_monolithic(request.circuit(), &p) {
             return self.route_request(request);
         }
-        let started = Instant::now();
-        let mut telemetry = SolverTelemetry::new();
-        let fingerprint = request.fingerprint();
-        let (reused, mut session) = match slot.take() {
-            Some(s) if s.fingerprint() == fingerprint => (Some(s.artifact), s.session),
-            _ => (None, None),
-        };
-        let artifact = match reused {
-            Some(a) => a,
-            None => match self.build_artifact(request, &p, &mut telemetry) {
-                Ok(a) => a,
-                Err(e) => {
-                    let outcome =
-                        RouteOutcome::new(self.name(), Err(e), telemetry, started.elapsed());
-                    return stamp_diagnostics(outcome, &p);
-                }
-            },
-        };
-        let budget = p.budget.arm();
-        let out =
-            maxsat::solve_with_session::<B>(artifact.instance(), &budget, &p.options, &mut session);
-        telemetry.absorb(&out.telemetry);
         let mut proof = Proof::new();
-        proof.observe(&out);
-        let result =
-            decode_monolithic(request.circuit(), artifact.encoding(), out, p.swaps_per_gap);
-        *slot = Some(RouteSession { artifact, session });
-        let outcome = RouteOutcome::new(self.name(), result, telemetry, started.elapsed());
+        let outcome = RouteOutcome::capture(self.name(), || {
+            let mut telemetry = SolverTelemetry::new();
+            if let Err(e) = request.validate() {
+                return (Err(e), telemetry);
+            }
+            let budget = p.budget.arm();
+            let (artifact, mut session) = match slot.take() {
+                Some(s) if s.fingerprint() == request.fingerprint() => (s.artifact, s.session),
+                _ => match self.build_artifact(request, &p, &mut telemetry) {
+                    Ok(artifact) => (artifact, None),
+                    Err(e) => return (Err(e), telemetry),
+                },
+            };
+            let out = self.solve_monolithic(
+                &artifact,
+                &p,
+                &budget,
+                &mut session,
+                &mut telemetry,
+                &mut proof,
+            );
+            let result =
+                decode_monolithic(request.circuit(), artifact.encoding(), out, p.swaps_per_gap);
+            *slot = Some(RouteSession { artifact, session });
+            (result, telemetry)
+        });
         stamp_diagnostics(stamp_quality(outcome, &proof), &p)
     }
 

@@ -84,7 +84,7 @@ pub fn exactly_one<S: ClauseSink>(sink: &mut S, lits: &[Lit]) {
 /// behind the linear SAT-UNSAT MaxSAT search.
 ///
 /// With all weights 1 this degenerates to the classic totalizer.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Totalizer {
     /// Sorted `(weight, output literal)` pairs for every attainable sum.
     outputs: Vec<(u64, Lit)>,

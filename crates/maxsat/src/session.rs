@@ -1,5 +1,7 @@
 //! Warm-start sessions: reusable solver state across solves of one
-//! instance.
+//! instance. The routing supervisor keeps one for the attempts of a single
+//! request's retry ladder, so a retry under a bigger budget resumes the
+//! failed attempt's search; nothing keeps a session between requests.
 //!
 //! A [`MaxSatSession`] is what a finished search leaves behind: the
 //! backend with its loaded clause arena (instance encoding, strategy
@@ -24,13 +26,13 @@
 //! relative to the incumbent it was hardened against — it prunes models
 //! that provably cost more than that incumbent. The session records the
 //! hardened set ([`MaxSatSession`]'s `oll_hardened`) alongside the
-//! incumbent that justified it, so a snapshot replays the exact search
+//! incumbent that justified it, so the session carries the exact search
 //! state: a resume continues below the same incumbent, where every
 //! hardened clause remains valid.
 //!
 //! The incumbent model needs no explicit re-seeding: the solver's saved
-//! phases already point at it (phase saving survives the snapshot), so a
-//! warm solve's first descent lands near the prior optimum for free.
+//! phases already point at it (the session carries the solver itself), so
+//! a warm solve's first descent lands near the prior optimum for free.
 
 use sat::SatBackend;
 
@@ -41,8 +43,7 @@ use crate::wcnf::WcnfInstance;
 
 /// Reusable state from a prior MaxSAT solve of one instance: the solver
 /// (clause arena included), the incumbent, and strategy progress. Created
-/// and consumed by [`crate::solve_with_session`]; forked for concurrent
-/// reuse with [`MaxSatSession::fork`].
+/// and consumed by [`crate::solve_with_session`].
 pub struct MaxSatSession<B: SatBackend> {
     pub(crate) solver: B,
     /// `(indicator, weight)` per soft clause, exactly as the original
@@ -65,7 +66,7 @@ pub struct MaxSatSession<B: SatBackend> {
     /// up mid-stratum: `oll_active` is the partial stratum in flight.
     pub(crate) oll_pending: Vec<Vec<(sat::Lit, u64)>>,
     /// Soft indicators the search asserted hard (their unit clauses live
-    /// in the solver's arena, so a snapshot replays them; the list records
+    /// in the solver's arena, so a resume keeps them; the list records
     /// *which* softs those clauses pinned, keeping the session's state
     /// self-describing and its telemetry continuous across resumes).
     pub(crate) oll_hardened: Vec<sat::Lit>,
@@ -107,31 +108,5 @@ impl<B: SatBackend> MaxSatSession<B> {
     /// (what the warm solve reports as `reused_clauses`).
     pub fn reusable_clauses(&self) -> usize {
         self.solver.num_clauses()
-    }
-
-    /// An independent copy of the session via the backend's arena
-    /// snapshot ([`SatBackend::snapshot`]), so one cold solve can seed
-    /// many warm re-solves — the caching layer forks per request and
-    /// keeps the base entry valid even if the warm solve is cancelled
-    /// mid-search. `None` when the backend cannot snapshot itself.
-    pub fn fork(&self) -> Option<MaxSatSession<B>> {
-        Some(MaxSatSession {
-            solver: self.solver.snapshot()?,
-            indicators: self.indicators.clone(),
-            constant_cost: self.constant_cost,
-            quantum: self.quantum,
-            strategy: self.strategy,
-            totalizer: self.totalizer.clone(),
-            oll_active: self.oll_active.clone(),
-            oll_pending: self.oll_pending.clone(),
-            oll_hardened: self.oll_hardened.clone(),
-            best_model: self.best_model.clone(),
-            best_cost: self.best_cost,
-            best_q_cost: self.best_q_cost,
-            instance_vars: self.instance_vars,
-            hard_count: self.hard_count,
-            soft_count: self.soft_count,
-            totalizer_units: self.totalizer_units,
-        })
     }
 }

@@ -544,31 +544,6 @@ mod tests {
         assert!(!out.telemetry.warm_start);
     }
 
-    #[test]
-    fn forked_sessions_warm_start_independently() {
-        let inst = session_instance();
-        let options = SolveOptions::default();
-        let mut session = None;
-        let cold = solve_with_session::<sat::DefaultBackend>(
-            &inst,
-            &ResourceBudget::unlimited(),
-            &options,
-            &mut session,
-        );
-        let base = session.take().expect("session recorded");
-        for _ in 0..2 {
-            let mut fork = Some(base.fork().expect("solver backend can snapshot"));
-            let warm = solve_with_session::<sat::DefaultBackend>(
-                &inst,
-                &ResourceBudget::unlimited(),
-                &options,
-                &mut fork,
-            );
-            assert_eq!(warm.cost, cold.cost);
-            assert!(warm.telemetry.warm_start);
-        }
-    }
-
     /// Brute-force reference for small weighted instances.
     fn brute_force(inst: &WcnfInstance) -> Option<u64> {
         let n = inst.num_vars();

@@ -1,67 +1,42 @@
-//! A canonical-outcome cache with warm-start session reuse in front of
-//! the registry.
+//! A canonical-outcome cache in front of the registry.
 //!
 //! [`RouteCache`] keys every request by `(canonical router name,`
 //! [`circuit::RouteRequest::fingerprint`]`)` — a canonical hash of the
 //! answer-relevant inputs (circuit, device graph, resolved spec knobs;
-//! budget, parallelism, and request ids deliberately excluded). Three
-//! tiers of reuse:
+//! budget, parallelism, and request ids deliberately excluded). A solved
+//! outcome for the key is memoized and returned without any solving; the
+//! clone is stamped `telemetry.cache_hit = true`. Failed outcomes
+//! (timeouts, unsatisfiable-with-these-knobs) and unproven incumbents are
+//! *not* memoized, so a retry under a bigger budget re-solves instead of
+//! replaying the failure. Everything else routes exactly as the plain
+//! registry would.
 //!
-//! 1. **Exact hit** — a solved outcome for the key is memoized and
-//!    returned without any solving; the clone is stamped
-//!    `telemetry.cache_hit = true`. Failed outcomes (timeouts,
-//!    unsatisfiable-with-these-knobs) are *not* memoized, so a retry
-//!    under a bigger budget re-solves instead of replaying the failure.
-//! 2. **Warm start** — SATMAP routers keep a [`satmap::RouteSession`] per
-//!    key: the encoding artifact plus the MaxSAT engine's clause database,
-//!    incumbent, and bound progress. A re-solve (typically that
-//!    bigger-budget retry) skips re-encoding and resumes the search; the
-//!    outcome reports `warm_start = true` with `reused_clauses` counting
-//!    the carried arena. The session is *forked* (an arena snapshot) for
-//!    the solve, so the stored entry stays valid even if the warm solve is
-//!    abandoned mid-search.
-//! 3. **Cold** — everything else routes exactly as the plain registry
-//!    would.
-//!
-//! Both maps are **capacity-limited LRU** stores: a long-running daemon
+//! The memo is a **capacity-limited LRU** store: a long-running daemon
 //! funnels every request through one shared cache, so unbounded growth
-//! would eventually OOM on session clause arenas (the expensive entries —
-//! their default capacity is accordingly much smaller than the outcome
-//! map's). Every hit refreshes an entry's recency; inserting past capacity
-//! evicts the least-recently-used key and bumps the eviction counters
-//! reported by [`RouteCache::stats`].
+//! would eventually exhaust memory. Every hit refreshes an entry's
+//! recency; inserting past capacity evicts the least-recently-used key and
+//! bumps the eviction counter reported by [`RouteCache::stats`].
 //!
 //! Serving layers that bring their own solver (e.g. a daemon routing
 //! through a `RouteSupervisor`) compose via the split surface:
 //! [`RouteCache::lookup`] before solving, [`RouteCache::admit`] after —
 //! [`RouteCache::route`] is exactly that composition over the wrapped
-//! registry, plus the SATMAP session tier.
+//! registry.
 //!
-//! Soundness: an exact hit replays a result computed from identical
-//! inputs; a warm start reuses a clause database that is a conservative
-//! extension of the identical instance (every MaxSAT bound travels as an
-//! assumption, never an asserted clause — see [`maxsat::MaxSatSession`]),
-//! so the carried clauses can only prune the search, never change its
-//! answer.
+//! Soundness: a hit replays a result computed from identical inputs.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use circuit::{RouteOutcome, RouteQuality, RouteRequest};
-use satmap::{RouteSession, SatMap, SatMapConfig};
 
 use crate::supervisor::completed_quantized;
-use crate::{Backend, RouterRegistry, UnknownRouter};
+use crate::{RouterRegistry, UnknownRouter};
 
 /// Default capacity of the memoized-outcome map. Outcome rows are small
 /// (a routed circuit plus telemetry), so the map can afford to be deep.
 pub const DEFAULT_OUTCOME_CAPACITY: usize = 1024;
-
-/// Default capacity of the warm-start session map. Sessions carry full
-/// clause arenas — megabytes each on hard instances — so a long-running
-/// daemon keeps only the hottest few dozen.
-pub const DEFAULT_SESSION_CAPACITY: usize = 64;
 
 /// Cache key: canonical router name plus the request's canonical
 /// fingerprint.
@@ -78,8 +53,8 @@ fn memoizable(outcome: &RouteOutcome) -> bool {
     (outcome.solved() && outcome.quality() == RouteQuality::Optimal) || completed_quantized(outcome)
 }
 
-/// One stored value plus its last-use stamp (a monotone logical clock
-/// shared by both maps; larger = more recently used).
+/// One stored value plus its last-use stamp (a monotone logical clock;
+/// larger = more recently used).
 struct Entry<T> {
     value: T,
     stamp: u64,
@@ -127,10 +102,6 @@ impl<T> Lru<T> {
         self.map.insert(key, Entry { value, stamp });
     }
 
-    fn remove(&mut self, key: &Key) -> Option<T> {
-        self.map.remove(key).map(|e| e.value)
-    }
-
     fn len(&self) -> usize {
         self.map.len()
     }
@@ -146,20 +117,14 @@ impl<T> Lru<T> {
 pub struct CacheStats {
     /// Memoized outcomes currently held.
     pub outcomes: usize,
-    /// Warm-start sessions currently held.
-    pub sessions: usize,
     /// Capacity of the outcome map.
     pub outcome_capacity: usize,
-    /// Capacity of the session map.
-    pub session_capacity: usize,
     /// Lookups served from the memo ([`RouteCache::lookup`] hits).
     pub hits: u64,
     /// Lookups that fell through to a solve.
     pub misses: u64,
     /// Outcomes dropped by LRU eviction since construction.
     pub outcome_evictions: u64,
-    /// Sessions dropped by LRU eviction since construction.
-    pub session_evictions: u64,
 }
 
 impl CacheStats {
@@ -174,16 +139,14 @@ impl CacheStats {
     }
 }
 
-/// A memoizing, warm-starting front end over a [`RouterRegistry`]. Interior
-/// mutability (mutexed maps) keeps the routing surface `&self`, matching
-/// the registry; locks are held only around map access, never across a
-/// solve, so concurrent requests at worst both solve cold.
+/// A memoizing front end over a [`RouterRegistry`]. Interior mutability
+/// (a mutexed map) keeps the routing surface `&self`, matching the
+/// registry; the lock is held only around map access, never across a
+/// solve, so concurrent requests at worst both solve.
 pub struct RouteCache {
     registry: RouterRegistry,
     outcomes: Mutex<Lru<RouteOutcome>>,
-    sessions: Mutex<Lru<RouteSession<Backend>>>,
-    /// Logical clock stamping every map access (shared by both maps so
-    /// "recently used" means the same thing everywhere).
+    /// Logical clock stamping every map access.
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -196,24 +159,18 @@ impl Default for RouteCache {
 }
 
 impl RouteCache {
-    /// A cache in front of the given registry with the default capacities
-    /// ([`DEFAULT_OUTCOME_CAPACITY`] / [`DEFAULT_SESSION_CAPACITY`]).
+    /// A cache in front of the given registry with the default capacity
+    /// ([`DEFAULT_OUTCOME_CAPACITY`]).
     pub fn new(registry: RouterRegistry) -> Self {
-        Self::with_capacities(registry, DEFAULT_OUTCOME_CAPACITY, DEFAULT_SESSION_CAPACITY)
+        Self::with_capacities(registry, DEFAULT_OUTCOME_CAPACITY)
     }
 
-    /// A cache with explicit LRU capacities. A zero capacity disables the
-    /// corresponding tier (nothing is stored; every insert counts as an
-    /// eviction).
-    pub fn with_capacities(
-        registry: RouterRegistry,
-        outcome_capacity: usize,
-        session_capacity: usize,
-    ) -> Self {
+    /// A cache with an explicit LRU capacity. A zero capacity disables the
+    /// memo (nothing is stored; every insert counts as an eviction).
+    pub fn with_capacities(registry: RouterRegistry, outcome_capacity: usize) -> Self {
         RouteCache {
             registry,
             outcomes: Mutex::new(Lru::new(outcome_capacity)),
-            sessions: Mutex::new(Lru::new(session_capacity)),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -230,31 +187,21 @@ impl RouteCache {
         lock_or_recover(&self.outcomes).len()
     }
 
-    /// Number of warm-start sessions held.
-    pub fn cached_sessions(&self) -> usize {
-        lock_or_recover(&self.sessions).len()
-    }
-
     /// Occupancy, traffic, and eviction counters.
     pub fn stats(&self) -> CacheStats {
         let outcomes = lock_or_recover(&self.outcomes);
-        let sessions = lock_or_recover(&self.sessions);
         CacheStats {
             outcomes: outcomes.len(),
-            sessions: sessions.len(),
             outcome_capacity: outcomes.capacity,
-            session_capacity: sessions.capacity,
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             outcome_evictions: outcomes.evictions,
-            session_evictions: sessions.evictions,
         }
     }
 
-    /// Drops all memoized outcomes and sessions (counters survive).
+    /// Drops all memoized outcomes (counters survive).
     pub fn clear(&self) {
         lock_or_recover(&self.outcomes).clear();
-        lock_or_recover(&self.sessions).clear();
     }
 
     fn tick(&self) -> u64 {
@@ -318,12 +265,11 @@ impl RouteCache {
         Ok(true)
     }
 
-    /// Routes `request` through the cache: an exact hit replays the
-    /// memoized outcome (stamped `cache_hit`), a SATMAP re-solve
-    /// warm-starts from the stored session, anything else solves cold —
-    /// and solved outcomes (plus SATMAP sessions) are stored for next
-    /// time. The memoized outcome keeps the original solve's wall time
-    /// and telemetry; only the `cache_hit` stamp distinguishes the replay.
+    /// Routes `request` through the cache: a hit replays the memoized
+    /// outcome (stamped `cache_hit`), a miss routes through the registry
+    /// and admits the outcome for next time. The memoized outcome keeps
+    /// the original solve's wall time and telemetry; only the `cache_hit`
+    /// stamp distinguishes the replay.
     ///
     /// # Errors
     ///
@@ -333,44 +279,12 @@ impl RouteCache {
         name: &str,
         request: &RouteRequest<'_>,
     ) -> Result<RouteOutcome, UnknownRouter> {
-        let canonical = self.registry.canonical(name)?;
-        if let Some(hit) = self.lookup(canonical, request)? {
+        if let Some(hit) = self.lookup(name, request)? {
             return Ok(hit);
         }
-        let key = (canonical, request.fingerprint());
-        let outcome = match canonical {
-            "satmap" => self.route_satmap(SatMapConfig::default(), key, request),
-            "nl-satmap" => self.route_satmap(SatMapConfig::monolithic(), key, request),
-            _ => self.registry.route(canonical, request)?,
-        };
-        self.admit(canonical, request, &outcome)?;
-        Ok(outcome.with_request_id(request.request_id()))
-    }
-
-    /// One SATMAP route with session reuse: fork the stored session when
-    /// the backend can snapshot (keeping the stored entry live), else move
-    /// it out; solve; store the updated session back.
-    fn route_satmap(
-        &self,
-        config: SatMapConfig,
-        key: Key,
-        request: &RouteRequest<'_>,
-    ) -> RouteOutcome {
-        let router = SatMap::<Backend>::with_backend(config);
-        let mut slot = {
-            let stamp = self.tick();
-            let mut sessions = lock_or_recover(&self.sessions);
-            match sessions.touch(&key, stamp).and_then(|s| s.fork()) {
-                forked @ Some(_) => forked,
-                None => sessions.remove(&key),
-            }
-        };
-        let outcome = router.route_with_session(request, &mut slot);
-        if let Some(s) = slot {
-            let stamp = self.tick();
-            lock_or_recover(&self.sessions).insert(key, s, stamp);
-        }
-        outcome
+        let outcome = self.registry.route(name, request)?;
+        self.admit(name, request, &outcome)?;
+        Ok(outcome)
     }
 }
 
@@ -407,7 +321,6 @@ mod tests {
         assert!(cold.solved());
         assert!(!cold.telemetry().cache_hit);
         assert_eq!(cache.cached_outcomes(), 1);
-        assert_eq!(cache.cached_sessions(), 1);
 
         let hit = cache.route("nl-satmap", &request).expect("known");
         assert!(hit.telemetry().cache_hit);
@@ -425,7 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn timed_out_solve_is_not_memoized_and_retries_warm() {
+    fn timed_out_solve_is_not_memoized() {
         let mut c = Circuit::new(8);
         for i in 0..7 {
             c.cx(i, i + 1);
@@ -441,15 +354,13 @@ mod tests {
             .expect("known");
         assert!(!failed.solved());
         assert_eq!(cache.cached_outcomes(), 0, "failures are not memoized");
-        assert_eq!(cache.cached_sessions(), 1, "but the session survives");
 
-        // Same fingerprint (budget is excluded): the retry warm-starts
-        // from the failed attempt's clause DB instead of starting over.
+        // Same fingerprint (budget is excluded): the retry re-solves
+        // instead of replaying the failure.
         let retry = cache
             .route("nl-satmap", &RouteRequest::new(&c, &g))
             .expect("known");
         assert!(retry.solved());
-        assert!(retry.telemetry().warm_start);
         assert!(!retry.telemetry().cache_hit);
     }
 
@@ -512,7 +423,6 @@ mod tests {
         let _ = cache.route("satmap", &request).expect("known");
         cache.clear();
         assert_eq!(cache.cached_outcomes(), 0);
-        assert_eq!(cache.cached_sessions(), 0);
         let again = cache.route("satmap", &request).expect("known");
         assert!(!again.telemetry().cache_hit);
     }
@@ -546,7 +456,7 @@ mod tests {
     #[test]
     fn outcome_capacity_bounds_a_long_running_cache() {
         let (c, g) = fig3();
-        let cache = RouteCache::with_capacities(RouterRegistry::standard(), 2, 1);
+        let cache = RouteCache::with_capacities(RouterRegistry::standard(), 2);
         // Three distinct fingerprints through a capacity-2 memo: the
         // oldest entry must fall out, and the counters must say so.
         let base = RouteRequest::new(&c, &g);
@@ -560,8 +470,6 @@ mod tests {
         assert_eq!(stats.outcomes, 2);
         assert_eq!(stats.outcome_capacity, 2);
         assert!(stats.outcome_evictions >= 1, "{stats:?}");
-        assert_eq!(stats.sessions, 1, "session map respects its capacity");
-        assert!(stats.session_evictions >= 1, "{stats:?}");
         // The freshest entry is still a hit; the evicted one re-solves.
         assert!(
             cache

@@ -28,10 +28,10 @@
 //! (the default): core-guided for the SATMAP variants, linear for the
 //! OLSQ baselines.
 //!
-//! Two front ends layer over the registry: [`RouteCache`] (memoization +
-//! warm-start session reuse) and [`RouteSupervisor`] (admission control, a
-//! retry/escalation ladder with warm-started retries, heuristic
-//! degradation, and panic isolation — see [`supervisor`]).
+//! Two front ends layer over the registry: [`RouteCache`] (memoization)
+//! and [`RouteSupervisor`] (admission control, a retry/escalation ladder
+//! with warm-started retries, heuristic degradation, and panic isolation —
+//! see [`supervisor`]).
 //!
 //! # Examples
 //!
@@ -57,7 +57,7 @@
 mod cache;
 pub mod supervisor;
 
-pub use cache::{CacheStats, RouteCache, DEFAULT_OUTCOME_CAPACITY, DEFAULT_SESSION_CAPACITY};
+pub use cache::{CacheStats, RouteCache, DEFAULT_OUTCOME_CAPACITY};
 pub use supervisor::{admission_verdict, RoutePolicy, RouteSupervisor};
 
 use circuit::Router;

@@ -15,12 +15,13 @@
 //!    up to [`RoutePolicy::max_attempts`] times, each retry after a
 //!    deterministic jittered backoff ([`ResourceBudget::backoff_for`]) and
 //!    under a budget scaled by [`RoutePolicy::escalation`]. SATMAP retries
-//!    warm-start from the session deposited by the failed attempt (same
-//!    mechanism as [`crate::RouteCache`]; budgets are excluded from the
-//!    request fingerprint, so an escalated retry reuses the clause
-//!    database, incumbent, and bound instead of starting over). A proven
-//!    answer on attempt `k > 1` is stamped
-//!    [`RouteQuality::WarmRetry`]`(k - 1)`.
+//!    warm-start from the session the failed attempt left: the ladder
+//!    holds one [`satmap::RouteSession`] for its own attempts, so an
+//!    escalated retry reuses the encoding, clause database, incumbent, and
+//!    bound instead of starting over. The session is dropped when the
+//!    ladder returns; nothing is kept between requests. A panicked attempt
+//!    leaves no session, so the next attempt starts cold. A proven answer
+//!    on attempt `k > 1` is stamped [`RouteQuality::WarmRetry`]`(k - 1)`.
 //! 3. **Heuristic degradation** — when the ladder is exhausted, the best
 //!    unproven incumbent under the request's objective (fewest swaps, or
 //!    lowest log-infidelity for [`Objective::Fidelity`]), if any attempt
@@ -47,9 +48,8 @@
 //! — so their costs equal the fault-free cost. Only `Degraded` outcomes
 //! may cost more, and they say so.
 
-use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use circuit::{Objective, RouteError, RouteOutcome, RouteQuality, RouteRequest};
@@ -142,10 +142,6 @@ impl Default for RoutePolicy {
     }
 }
 
-/// Session key: canonical router name plus request fingerprint (budget
-/// excluded — that is what makes escalated retries warm).
-type Key = (&'static str, u64);
-
 /// A resilience layer over the [`RouterRegistry`]: admission control, a
 /// retry/escalation ladder with warm-started SATMAP retries, heuristic
 /// degradation, and per-attempt panic isolation. See the module docs for
@@ -158,7 +154,7 @@ type Key = (&'static str, u64);
 pub struct RouteSupervisor<B: SatBackend + Default + Send = Backend> {
     registry: RouterRegistry,
     policy: RoutePolicy,
-    sessions: Mutex<HashMap<Key, RouteSession<B>>>,
+    _backend: PhantomData<fn() -> B>,
 }
 
 impl Default for RouteSupervisor {
@@ -186,7 +182,7 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
         RouteSupervisor {
             registry,
             policy,
-            sessions: Mutex::new(HashMap::new()),
+            _backend: PhantomData,
         }
     }
 
@@ -271,6 +267,9 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
         let max_attempts = self.policy.max_attempts.max(1);
         let mut best_unproven: Option<RouteOutcome> = None;
         let mut last_failure: Option<RouteError> = None;
+        // The warm-start state of this ladder's SATMAP attempts; dropped
+        // when the ladder returns.
+        let mut session: Option<RouteSession<B>> = None;
         for attempt in 1..=max_attempts {
             if Self::cancelled(request) {
                 return Self::cancelled_outcome(canonical, attempt);
@@ -284,7 +283,7 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
                 ));
             }
             let escalated = self.escalated_request(request, base_time, attempt);
-            let outcome = self.attempt(canonical, &escalated);
+            let outcome = self.attempt(canonical, &escalated, &mut session);
             *panics += outcome.telemetry().worker_panics;
             match outcome.error() {
                 None => {
@@ -337,18 +336,7 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
                 .with_attempts(max_attempts);
         }
         let failure = last_failure.unwrap_or(RouteError::Timeout);
-        // The whole ladder failed: drop the warm session for this key.
-        // Search state retained across a fully failed ladder is correlated
-        // with the failure (a wedged or fault-injected solver instance),
-        // and resuming from it would replay the failure on the next
-        // identical request instead of giving a cold start a chance.
-        self.evict_session(canonical, request);
         self.degrade(canonical, request, failure, max_attempts)
-    }
-
-    /// Removes the stored warm-start session for this request, if any.
-    fn evict_session(&self, canonical: &'static str, request: &RouteRequest<'_>) {
-        lock_or_recover(&self.sessions).remove(&(canonical, request.fingerprint()));
     }
 
     /// Scales the request's time budget for attempt `attempt` (1-based);
@@ -373,20 +361,29 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
     }
 
     /// One panic-isolated routing attempt. SATMAP family attempts run on
-    /// this supervisor's backend with warm-start session reuse; everything
-    /// else is built cold by the registry. A panic anywhere inside
-    /// surfaces as a retryable [`RouteError::Internal`] whose telemetry
-    /// counts the one panic.
-    fn attempt(&self, canonical: &'static str, request: &RouteRequest<'_>) -> RouteOutcome {
+    /// this supervisor's backend and resume from (and re-deposit) the
+    /// ladder's `session`; everything else is built cold by the registry.
+    /// A panic anywhere inside surfaces as a retryable
+    /// [`RouteError::Internal`] whose telemetry counts the one panic, and
+    /// leaves `session` empty so the next attempt starts cold.
+    fn attempt(
+        &self,
+        canonical: &'static str,
+        request: &RouteRequest<'_>,
+        session: &mut Option<RouteSession<B>>,
+    ) -> RouteOutcome {
         let run = || match canonical {
-            "satmap" => self.attempt_satmap(SatMapConfig::default(), canonical, request),
-            "nl-satmap" => self.attempt_satmap(SatMapConfig::monolithic(), canonical, request),
+            "satmap" => SatMap::<B>::with_backend(SatMapConfig::default())
+                .route_with_session(request, session),
+            "nl-satmap" => SatMap::<B>::with_backend(SatMapConfig::monolithic())
+                .route_with_session(request, session),
             _ => self
                 .registry
                 .route(canonical, request)
                 .expect("canonical name is registered"),
         };
         catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
+            *session = None;
             let telemetry = SolverTelemetry {
                 worker_panics: 1,
                 ..SolverTelemetry::new()
@@ -400,32 +397,6 @@ impl<B: SatBackend + Default + Send> RouteSupervisor<B> {
                 Duration::ZERO,
             )
         })
-    }
-
-    /// One SATMAP route with session reuse (the warm half of the ladder):
-    /// fork the stored session when the backend can snapshot, else move it
-    /// out; solve; deposit the updated session — even after a failure, so
-    /// the *next* attempt resumes from the partial search.
-    fn attempt_satmap(
-        &self,
-        config: SatMapConfig,
-        canonical: &'static str,
-        request: &RouteRequest<'_>,
-    ) -> RouteOutcome {
-        let router = SatMap::<B>::with_backend(config);
-        let key = (canonical, request.fingerprint());
-        let mut slot = {
-            let mut sessions = lock_or_recover(&self.sessions);
-            match sessions.get(&key).and_then(|s| s.fork()) {
-                forked @ Some(_) => forked,
-                None => sessions.remove(&key),
-            }
-        };
-        let outcome = router.route_with_session(request, &mut slot);
-        if let Some(s) = slot {
-            lock_or_recover(&self.sessions).insert(key, s);
-        }
-        outcome
     }
 
     /// Terminal degradation: answer with the fallback heuristic, stamped
@@ -472,12 +443,6 @@ pub(crate) fn completed_quantized(outcome: &RouteOutcome) -> bool {
     outcome.solved()
         && outcome.quality() == RouteQuality::Degraded
         && outcome.diagnostic("degraded_reason") == Some("quantized")
-}
-
-/// Poison-tolerant lock: a panic while holding the sessions map cannot
-/// take the supervisor down with it.
-fn lock_or_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// The better of the kept incumbent and a new one under the request's
@@ -816,15 +781,52 @@ mod tests {
         assert_eq!(retry.fingerprint(), base.fingerprint(), "retries stay warm");
     }
 
-    /// Panics on the first solve call in the process, then solves like the
-    /// default backend: the shape of a transient crash a retry recovers
-    /// from.
+    /// The fault a [`FailsFirstSolve`] backend injects into the first
+    /// solve call in the process: the shape of a transient failure a retry
+    /// recovers from.
+    trait FirstSolveFault: Default + Send {
+        /// Set once the fault has fired.
+        fn fired() -> &'static std::sync::atomic::AtomicBool;
+        /// The faulty answer (or a panic).
+        fn inject() -> sat::SolveResult;
+    }
+
+    /// Panics.
     #[derive(Default)]
-    struct PanicsOnce(sat::DefaultBackend);
+    struct Panic;
 
-    static PANICKED_ONCE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+    impl FirstSolveFault for Panic {
+        fn fired() -> &'static std::sync::atomic::AtomicBool {
+            static FIRED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+            &FIRED
+        }
 
-    impl sat::ClauseSink for PanicsOnce {
+        fn inject() -> sat::SolveResult {
+            panic!("{} (first solve)", sat::chaos::CHAOS_PANIC);
+        }
+    }
+
+    /// Answers `Unknown`, like an expired budget.
+    #[derive(Default)]
+    struct Unknown;
+
+    impl FirstSolveFault for Unknown {
+        fn fired() -> &'static std::sync::atomic::AtomicBool {
+            static FIRED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+            &FIRED
+        }
+
+        fn inject() -> sat::SolveResult {
+            sat::SolveResult::Unknown
+        }
+    }
+
+    /// Injects `F` into the first solve call in the process, then solves
+    /// like the default backend.
+    #[derive(Default)]
+    struct FailsFirstSolve<F>(sat::DefaultBackend, PhantomData<F>);
+
+    impl<F> sat::ClauseSink for FailsFirstSolve<F> {
         fn new_var(&mut self) -> sat::Var {
             sat::ClauseSink::new_var(&mut self.0)
         }
@@ -834,13 +836,17 @@ mod tests {
         }
     }
 
-    impl SatBackend for PanicsOnce {
+    impl<F: FirstSolveFault> SatBackend for FailsFirstSolve<F> {
         fn backend_name(&self) -> &'static str {
-            "panics-once"
+            "fails-first-solve"
         }
 
         fn num_vars(&self) -> usize {
             SatBackend::num_vars(&self.0)
+        }
+
+        fn num_clauses(&self) -> usize {
+            SatBackend::num_clauses(&self.0)
         }
 
         fn reserve_vars(&mut self, n: usize) {
@@ -856,8 +862,8 @@ mod tests {
             assumptions: &[sat::Lit],
             budget: &ResourceBudget,
         ) -> sat::SolveResult {
-            if !PANICKED_ONCE.swap(true, std::sync::atomic::Ordering::SeqCst) {
-                panic!("{} (first solve)", sat::chaos::CHAOS_PANIC);
+            if !F::fired().swap(true, std::sync::atomic::Ordering::SeqCst) {
+                return F::inject();
             }
             SatBackend::solve_under_assumptions(&mut self.0, assumptions, budget)
         }
@@ -879,6 +885,14 @@ mod tests {
         }
     }
 
+    fn fast_retries() -> RoutePolicy {
+        RoutePolicy {
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(2),
+            ..RoutePolicy::default()
+        }
+    }
+
     #[test]
     fn a_recovered_retry_still_counts_the_panicked_attempt() {
         // Attempt 1 panics and is caught; attempt 2 proves the optimum.
@@ -886,13 +900,9 @@ mod tests {
         // one crash the ladder absorbed.
         sat::chaos::silence_panic_reports();
         let (c, g) = fig3();
-        let supervisor = RouteSupervisor::<PanicsOnce>::with_registry_and_policy(
+        let supervisor = RouteSupervisor::<FailsFirstSolve<Panic>>::with_registry_and_policy(
             RouterRegistry::standard(),
-            RoutePolicy {
-                backoff_base: Duration::from_millis(1),
-                backoff_cap: Duration::from_millis(2),
-                ..RoutePolicy::default()
-            },
+            fast_retries(),
         );
         let out = supervisor
             .route("nl-satmap", &RouteRequest::new(&c, &g))
@@ -901,6 +911,50 @@ mod tests {
         assert_eq!(out.attempts(), 2);
         assert_eq!(out.routed().expect("solved").swap_count(), 1);
         assert_eq!(out.telemetry().worker_panics, 1, "{}", out.telemetry());
+        // The panicked attempt left no session behind.
+        assert!(!out.telemetry().warm_start, "{}", out.telemetry());
+    }
+
+    #[test]
+    fn a_timed_out_attempt_is_resumed_warm_by_the_retry() {
+        let (c, g) = fig3();
+        let request = RouteRequest::new(&c, &g);
+        let supervisor = RouteSupervisor::<FailsFirstSolve<Unknown>>::with_registry_and_policy(
+            RouterRegistry::standard(),
+            fast_retries(),
+        );
+        // Attempt by attempt: the first answers `Unknown`, so it times out
+        // and leaves its session for the next attempt.
+        let mut session = None;
+        let first = supervisor.attempt("nl-satmap", &request, &mut session);
+        assert_eq!(first.error(), Some(&RouteError::Timeout));
+        assert!(session.is_some());
+
+        // Through the ladder: the retry resumes that session and proves the
+        // fault-free optimum.
+        Unknown::fired().store(false, std::sync::atomic::Ordering::SeqCst);
+        let out = supervisor.route("nl-satmap", &request).expect("known");
+        assert_eq!(out.quality(), RouteQuality::WarmRetry(1));
+        assert_eq!(out.attempts(), 2);
+        assert!(out.telemetry().warm_start, "{}", out.telemetry());
+        assert_eq!(out.routed().expect("solved").swap_count(), 1);
+    }
+
+    #[test]
+    fn separate_requests_never_share_a_session() {
+        let g = arch::devices::tokyo();
+        let c = circuit::generators::random_local(6, 14, 4, 0.1, 0);
+        let request = RouteRequest::new(&c, &g);
+        let supervisor = RouteSupervisor::new();
+        let first = supervisor.route("nl-satmap", &request).expect("known");
+        let second = supervisor.route("nl-satmap", &request).expect("known");
+        for out in [&first, &second] {
+            assert_eq!(out.quality(), RouteQuality::Optimal);
+            assert!(!out.telemetry().warm_start, "{}", out.telemetry());
+        }
+        assert_eq!(second.telemetry().sat_calls, first.telemetry().sat_calls);
+        assert_eq!(second.telemetry().conflicts, first.telemetry().conflicts);
+        assert_eq!(second.routed(), first.routed());
     }
 
     #[test]

@@ -63,25 +63,6 @@ pub trait SatBackend: ClauseSink {
         0
     }
 
-    /// Snapshots the full solver state — clause arena (problem *and*
-    /// learned clauses), saved phases, activities — as an independent
-    /// backend. Returns `None` when the backend cannot snapshot itself.
-    ///
-    /// This is the warm-start primitive: a MaxSAT session stashes a solved
-    /// backend and later solves of the same instance resume from the
-    /// snapshot instead of re-emitting the encoding. Reuse is sound
-    /// because learned clauses are consequences of the loaded formula and
-    /// every bound travels as an assumption, never an asserted clause.
-    ///
-    /// `where Self: Sized` keeps [`SatBackend`] object-safe; `dyn`
-    /// consumers simply cannot snapshot.
-    fn snapshot(&self) -> Option<Self>
-    where
-        Self: Sized,
-    {
-        None
-    }
-
     /// Ensures at least `n` variables exist.
     fn reserve_vars(&mut self, n: usize);
 
@@ -146,11 +127,6 @@ impl SatBackend for Solver {
 
     fn num_clauses(&self) -> usize {
         Solver::num_clauses(self)
-    }
-
-    fn snapshot(&self) -> Option<Self> {
-        // The flat clause arena makes this a set of contiguous memcpys.
-        Some(self.clone())
     }
 
     fn reserve_vars(&mut self, n: usize) {

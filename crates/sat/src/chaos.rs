@@ -174,7 +174,7 @@ pub fn silence_panic_reports() {
 
 /// A [`SatBackend`] decorator injecting seeded faults around an inner
 /// backend (see the module docs for the soundness contract).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ChaosBackend<B> {
     inner: B,
     plan: FaultPlan,
@@ -251,18 +251,6 @@ impl<B: SatBackend> SatBackend for ChaosBackend<B> {
 
     fn num_clauses(&self) -> usize {
         self.inner.num_clauses()
-    }
-
-    fn snapshot(&self) -> Option<Self> {
-        // The snapshot inherits the plan and the *current* stream state,
-        // then perturbs it: a forked session replays neither its parent's
-        // future nor its past.
-        let inner = self.inner.snapshot()?;
-        Some(ChaosBackend {
-            inner,
-            plan: self.plan,
-            rng: self.rng.wrapping_add(0xA5A5_A5A5_A5A5_A5A5),
-        })
     }
 
     fn reserve_vars(&mut self, n: usize) {
@@ -398,18 +386,5 @@ mod tests {
             clean.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
             SolveResult::Sat
         );
-    }
-
-    #[test]
-    fn snapshot_preserves_formula_and_plan() {
-        let mut c = Chaotic::with_plan(FaultPlan::seeded(8));
-        let a = trivially_sat(&mut c);
-        let mut snap = SatBackend::snapshot(&c).expect("inner snapshots");
-        assert_eq!(snap.plan(), c.plan());
-        assert_eq!(
-            snap.solve_under_assumptions(&[], &ResourceBudget::unlimited()),
-            SolveResult::Sat
-        );
-        assert_eq!(snap.model_value(a), Some(true));
     }
 }

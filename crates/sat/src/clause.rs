@@ -14,9 +14,8 @@
 //! ```
 //!
 //! Compared to one heap `Vec<Lit>` per clause this cuts allocator traffic
-//! on the learn path to a buffer append, makes snapshotting a whole
-//! formula for a warm start a single `memcpy` of the buffer, and gives unit
-//! propagation cache-contiguous literal reads. Freeing a clause only flags
+//! on the learn path to a buffer append and gives unit propagation
+//! cache-contiguous literal reads. Freeing a clause only flags
 //! its header; the dead words are reclaimed by [`ClauseDb::compact`], a
 //! garbage-collecting pass the solver triggers when the dead fraction
 //! crosses [`ClauseDb::should_compact`]'s threshold. Compaction returns a

@@ -9,8 +9,7 @@
 //!
 //! * two-watched-literal unit propagation with blocker literals,
 //! * a flat clause arena with garbage-collecting compaction — clause
-//!   storage is one contiguous buffer, so snapshotting a loaded solver for
-//!   a warm start is a `memcpy` (see [`clause`][ClauseRef]),
+//!   storage is one contiguous buffer (see [`clause`][ClauseRef]),
 //! * flat clause lists ([`ClauseList`]) loaded in one pre-sized bulk call
 //!   ([`SatBackend::add_clauses`]),
 //! * VSIDS decision heuristic with phase saving,

@@ -40,9 +40,7 @@ struct Watcher {
 /// A CDCL SAT solver.
 ///
 /// Cloning a solver duplicates its entire state — for the clause store
-/// that is one `memcpy` of the flat arena, which is how
-/// [`crate::SatBackend::snapshot`] stashes a loaded solver for a warm
-/// start instead of re-emitting every clause.
+/// that is one `memcpy` of the flat arena.
 ///
 /// # Examples
 ///
@@ -1233,8 +1231,8 @@ mod tests {
 
     #[test]
     fn cloned_solver_is_independent_and_equivalent() {
-        // The arena clone path warm starts rely on: a clone answers
-        // like the original and diverges cleanly on later additions.
+        // A clone answers like the original and diverges cleanly on
+        // later additions.
         let mut s = Solver::new();
         let (a, b) = (lit(&mut s, 1), lit(&mut s, 2));
         s.add_clause([a, b]);

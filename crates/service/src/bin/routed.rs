@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! routed [--addr HOST:PORT] [--workers N] [--queue N]
-//!        [--outcomes N] [--sessions N] [--fallback NAME|none]
+//!        [--outcomes N] [--fallback NAME|none]
 //! ```
 //!
 //! Prints `listening HOST:PORT` on stdout once the socket is bound (the
@@ -18,7 +18,7 @@ fn main() {
             eprintln!("routed: {why}");
             eprintln!(
                 "usage: routed [--addr HOST:PORT] [--workers N] [--queue N] \
-                 [--outcomes N] [--sessions N] [--fallback NAME|none]"
+                 [--outcomes N] [--fallback NAME|none]"
             );
             std::process::exit(2);
         }
@@ -50,9 +50,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<DaemonConfig, String
             "--queue" => config.queue_capacity = parse_count(&value("--queue")?, "--queue")?,
             "--outcomes" => {
                 config.outcome_capacity = parse_size(&value("--outcomes")?, "--outcomes")?;
-            }
-            "--sessions" => {
-                config.session_capacity = parse_size(&value("--sessions")?, "--sessions")?;
             }
             "--fallback" => {
                 let name = value("--fallback")?;

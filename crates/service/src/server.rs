@@ -75,8 +75,6 @@ pub struct DaemonConfig {
     pub policy: RoutePolicy,
     /// Route-cache memo capacity (see [`routers::RouteCache`]).
     pub outcome_capacity: usize,
-    /// Route-cache warm-start session capacity.
-    pub session_capacity: usize,
 }
 
 impl Default for DaemonConfig {
@@ -87,7 +85,6 @@ impl Default for DaemonConfig {
             queue_capacity: 64,
             policy: RoutePolicy::default(),
             outcome_capacity: routers::DEFAULT_OUTCOME_CAPACITY,
-            session_capacity: routers::DEFAULT_SESSION_CAPACITY,
         }
     }
 }
@@ -183,11 +180,7 @@ impl<B: SatBackend + Default + Send + 'static> Daemon<B> {
                 RouterRegistry::standard(),
                 config.policy,
             ),
-            cache: RouteCache::with_capacities(
-                RouterRegistry::standard(),
-                config.outcome_capacity,
-                config.session_capacity,
-            ),
+            cache: RouteCache::with_capacities(RouterRegistry::standard(), config.outcome_capacity),
             queue: BoundedQueue::new(config.queue_capacity),
             stats: ServiceStats::default(),
             cancels: CancelRegistry::default(),

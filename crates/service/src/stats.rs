@@ -156,7 +156,7 @@ impl StatsSnapshot {
                 "\"aborted\":{},\"worker_panics\":{},\"in_flight\":{},",
                 "\"queue_depth\":{},\"workers\":{},\"draining\":{},",
                 "\"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":{:.4},",
-                "\"cache_outcomes\":{},\"cache_sessions\":{},\"cache_evictions\":{}}}"
+                "\"cache_outcomes\":{},\"cache_evictions\":{}}}"
             ),
             self.received,
             self.rejected,
@@ -175,8 +175,7 @@ impl StatsSnapshot {
             cache.misses,
             cache.hit_rate(),
             cache.outcomes,
-            cache.sessions,
-            cache.outcome_evictions + cache.session_evictions,
+            cache.outcome_evictions,
         )
     }
 }

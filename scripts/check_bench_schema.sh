@@ -21,8 +21,9 @@ done
 
 # Telemetry fields of every route row. The arena fields (compactions,
 # arena_bytes) came with the flat clause arena; the strategy field with
-# the pluggable-strategy MaxSAT engine; the warm-start fields (cache_hit,
-# warm_start, reused_clauses) with the route cache; the resilience fields
+# the pluggable-strategy MaxSAT engine; cache_hit with the route cache;
+# the warm-start fields (warm_start, reused_clauses) with warm-started
+# supervised retries; the resilience fields
 # (quality, attempts, worker_panics) with the routing supervisor;
 # request_id (per-row tracing id) with the routing service; the
 # weighted-core fields (strata, exhaustion_steps, hardened_softs) with the
