@@ -298,17 +298,12 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
             _ => self
                 .build_artifact(request, p, &mut telemetry)
                 .and_then(|artifact| {
-                    // The cold session is dropped before decoding: a solver
-                    // kept alive while the decode allocates fragments the
-                    // heap, and peak RSS creeps up over many requests.
-                    let out = self.solve_monolithic(
-                        &artifact,
-                        p,
-                        &budget,
-                        &mut None,
-                        &mut telemetry,
-                        proof,
-                    );
+                    // A cold route keeps no session. Building one only to
+                    // drop it raised the peak RSS of perfbench's
+                    // `weighted_core` from 27.5 to 33.9 MiB (the heap
+                    // fragments; the search work is the same).
+                    let out = self.solve_instance(artifact.encoding(), p, &budget, &mut telemetry);
+                    proof.observe(&out);
                     decode_monolithic(circuit, artifact.encoding(), out, p.swaps_per_gap)
                 }),
         };
@@ -355,9 +350,9 @@ impl<B: SatBackend + Default + Send> SatMap<B> {
 
     /// One MaxSAT search over a monolithic artifact (NL-SATMAP), resuming
     /// from — and re-depositing — the engine session in `session`; a
-    /// `None` session solves cold. Every monolithic route solves here:
-    /// [`Router::route_request`], [`SatMap::solve_artifact`] and
-    /// [`SatMap::route_with_session`].
+    /// `None` session solves cold. [`SatMap::solve_artifact`] and
+    /// [`SatMap::route_with_session`] solve here; [`Router::route_request`]
+    /// keeps no session and calls `solve_instance` on the same artifact.
     fn solve_monolithic(
         &self,
         artifact: &EncodedArtifact,
